@@ -6,16 +6,40 @@
 //! over the canonical numeric content (bit patterns of the `f64` values in
 //! a fixed field order), not over any serialized text form.
 //!
-//! The hash is two independent 64-bit FNV-1a streams combined into 128
-//! bits — collision probability is negligible at cache scale, and the
-//! implementation has no dependencies.
+//! The hash is two independent 64-bit streams combined into 128 bits —
+//! collision probability is negligible at cache scale, and the
+//! implementation has no dependencies. Each stream absorbs a whole 64-bit
+//! word per step (xor, multiply by an odd constant, fold the high half
+//! down), so an instance's ~2,000 `f64`s cost one step each, and
+//! [`CanonicalHasher::finish`] avalanches both lanes.
 
-use crate::platform::{Platform, Vertex};
+use crate::platform::Platform;
 use crate::stage::Pipeline;
 
 const FNV_OFFSET_A: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_OFFSET_B: u64 = 0x6c62_272e_07bb_0142;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// Lane multipliers: dense odd constants (golden ratio, xxHash's prime 2).
+const MIX_A: u64 = 0x9e37_79b9_7f4a_7c15;
+const MIX_B: u64 = 0xc2b2_ae3d_27d4_eb4f;
+
+/// One absorb step: the product carries every low bit upward, the fold
+/// brings the high half back down for the next step.
+#[inline]
+fn absorb(state: u64, word: u64, multiplier: u64) -> u64 {
+    let x = (state ^ word).wrapping_mul(multiplier);
+    x ^ (x >> 32)
+}
+
+/// MurmurHash3's 64-bit finalizer: every input bit reaches every output
+/// bit.
+fn avalanche(mut x: u64) -> u64 {
+    x ^= x >> 33;
+    x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    x ^= x >> 33;
+    x = x.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    x ^ (x >> 33)
+}
 
 /// Incremental 128-bit canonical hasher.
 #[derive(Clone, Debug)]
@@ -40,19 +64,29 @@ impl CanonicalHasher {
         CanonicalHasher::default()
     }
 
-    /// Feeds raw bytes.
+    /// Feeds raw bytes, eight at a time (a short tail is zero-padded, so
+    /// callers that concatenate byte strings length-prefix them, as
+    /// [`Self::write_str`] does).
     pub fn write_bytes(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.a = (self.a ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-            // The second stream sees the byte offset by one so the two
-            // streams stay decorrelated.
-            self.b = (self.b ^ u64::from(byte.wrapping_add(1))).wrapping_mul(FNV_PRIME);
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.write_u64(u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut word = [0u8; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            self.write_u64(u64::from_le_bytes(word));
         }
     }
 
-    /// Feeds a `u64`.
+    /// Feeds a `u64` in one step per lane.
+    #[inline]
     pub fn write_u64(&mut self, v: u64) {
-        self.write_bytes(&v.to_le_bytes());
+        self.a = absorb(self.a, v, MIX_A);
+        // The second lane sees the word rotated so the two lanes stay
+        // decorrelated.
+        self.b = absorb(self.b, v.rotate_left(32), MIX_B);
     }
 
     /// Feeds a `usize`.
@@ -62,6 +96,7 @@ impl CanonicalHasher {
 
     /// Feeds an `f64` by bit pattern, canonicalizing `-0.0` to `0.0` so
     /// numerically equal instances digest equally.
+    #[inline]
     pub fn write_f64(&mut self, v: f64) {
         let canonical = if v == 0.0 { 0.0f64 } else { v };
         self.write_u64(canonical.to_bits());
@@ -76,7 +111,7 @@ impl CanonicalHasher {
     /// The 128-bit digest.
     #[must_use]
     pub fn finish(&self) -> u128 {
-        (u128::from(self.a) << 64) | u128::from(self.b)
+        (u128::from(avalanche(self.a)) << 64) | u128::from(avalanche(self.b))
     }
 }
 
@@ -168,18 +203,11 @@ impl CanonicalDigest for Platform {
         for &fp in self.failure_probs() {
             hasher.write_f64(fp);
         }
-        // Full bandwidth matrix in vertex order (procs, In, Out); the
-        // matrix is symmetric but hashing every entry keeps this code
-        // independent of that invariant.
-        let verts: Vec<Vertex> = self
-            .procs()
-            .map(Vertex::Proc)
-            .chain([Vertex::In, Vertex::Out])
-            .collect();
-        for &x in &verts {
-            for &y in &verts {
-                hasher.write_f64(self.bandwidth(x, y));
-            }
+        // Full bandwidth matrix, row-major in vertex order (procs, In,
+        // Out); the matrix is symmetric but hashing every entry keeps this
+        // code independent of that invariant.
+        for &b in self.bandwidth_matrix() {
+            hasher.write_f64(b);
         }
     }
 }

@@ -18,9 +18,12 @@
 //! Classification here is by *exact* float equality: generators construct
 //! homogeneous platforms from a single shared constant, so exact comparison
 //! is reliable and avoids tolerance ambiguity in solver dispatch.
+//!
+//! Decoding goes through [`Platform::new`], so a decoded platform passes
+//! the same checks as a built one.
 
 use crate::error::{CoreError, Result};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Reader, Serialize, Value};
 
 /// Identifier of a processor: dense indices `0 … m−1`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -81,42 +84,134 @@ pub enum FailureClass {
 }
 
 /// An immutable target platform.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+///
+/// Wire form: `{"speeds": [...], "failure_probs": [...], "bandwidths":
+/// [...]}`, with each `+∞` bandwidth written as `null` because JSON has no
+/// literal for infinity.
+#[derive(Clone, Debug, PartialEq)]
 pub struct Platform {
     speeds: Vec<f64>,
     failure_probs: Vec<f64>,
     /// Row-major `(m + 2) × (m + 2)` bandwidth matrix; row/col `m` is `In`,
     /// `m + 1` is `Out`. Diagonal entries are `+∞` (intra-processor data
-    /// movement is free). Symmetric by construction. Serialized through
-    /// [`inf_as_null`] because JSON has no literal for infinity.
-    #[serde(with = "inf_as_null")]
+    /// movement is free). Symmetric by construction.
     bandwidths: Vec<f64>,
 }
 
-/// Serde codec mapping `+∞` ⟷ `null` so platforms survive JSON round trips
-/// (serde_json writes non-finite floats as `null`, which would otherwise
-/// fail to parse back).
-mod inf_as_null {
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-
-    pub fn serialize<S: Serializer>(v: &[f64], s: S) -> Result<S::Ok, S::Error> {
-        let opts: Vec<Option<f64>> = v
+impl Serialize for Platform {
+    fn to_value(&self) -> Value {
+        let bandwidths = self
+            .bandwidths
             .iter()
-            .map(|&x| if x.is_finite() { Some(x) } else { None })
+            .map(|&b| {
+                if b.is_finite() {
+                    Value::Float(b)
+                } else {
+                    Value::Null
+                }
+            })
             .collect();
-        opts.serialize(s)
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<Vec<f64>, D::Error> {
-        let opts: Vec<Option<f64>> = Vec::deserialize(d)?;
-        Ok(opts
-            .into_iter()
-            .map(|x| x.unwrap_or(f64::INFINITY))
-            .collect())
+        Value::Map(vec![
+            ("speeds".into(), self.speeds.to_value()),
+            ("failure_probs".into(), self.failure_probs.to_value()),
+            ("bandwidths".into(), Value::Seq(bandwidths)),
+        ])
     }
 }
 
+impl<'de> Deserialize<'de> for Platform {
+    fn from_value(value: &Value) -> std::result::Result<Self, serde::Error> {
+        if value.as_map().is_none() {
+            return Err(serde::Error::msg("expected map for struct Platform"));
+        }
+        let speeds = Vec::from_value(value.get_or_null("speeds"))?;
+        let failure_probs = Vec::from_value(value.get_or_null("failure_probs"))?;
+        let bandwidths: Vec<Option<f64>> = Vec::from_value(value.get_or_null("bandwidths"))?;
+        let bandwidths = bandwidths
+            .into_iter()
+            .map(|b| b.unwrap_or(f64::INFINITY))
+            .collect();
+        Platform::new(speeds, failure_probs, bandwidths).map_err(invalid_platform)
+    }
+
+    fn from_json(reader: &mut Reader<'_>) -> std::result::Result<Self, serde::Error> {
+        let (mut speeds, mut failure_probs, mut bandwidths) = (None, None, None);
+        reader.begin_object()?;
+        while let Some(key) = reader.next_key()? {
+            match &*key {
+                "speeds" if speeds.is_none() => speeds = Some(Vec::from_json(reader)?),
+                "failure_probs" if failure_probs.is_none() => {
+                    failure_probs = Some(Vec::from_json(reader)?);
+                }
+                "bandwidths" if bandwidths.is_none() => {
+                    let mut matrix = Vec::new();
+                    reader.begin_array()?;
+                    while reader.next_element()? {
+                        matrix.push(if reader.null()? {
+                            f64::INFINITY
+                        } else {
+                            reader.f64()?
+                        });
+                    }
+                    bandwidths = Some(matrix);
+                }
+                _ => reader.skip()?,
+            }
+        }
+        let (Some(speeds), Some(failure_probs), Some(bandwidths)) =
+            (speeds, failure_probs, bandwidths)
+        else {
+            return Err(serde::Error::msg(
+                "platform needs `speeds`, `failure_probs` and `bandwidths`",
+            ));
+        };
+        Platform::new(speeds, failure_probs, bandwidths).map_err(invalid_platform)
+    }
+}
+
+fn invalid_platform(e: CoreError) -> serde::Error {
+    serde::Error::msg(format!("invalid platform: {e}"))
+}
+
 impl Platform {
+    /// A platform from its raw parts: `m` speeds, `m` failure
+    /// probabilities and the row-major `(m + 2) × (m + 2)` bandwidth
+    /// matrix (vertex order: processors, `In`, `Out`; `+∞` on the
+    /// diagonal). The decoder's constructor.
+    ///
+    /// # Errors
+    /// * [`CoreError::EmptyPlatform`] for `m = 0`,
+    /// * [`CoreError::DimensionMismatch`] when `failure_probs` or
+    ///   `bandwidths` has the wrong length,
+    /// * every value error of [`PlatformBuilder::build`].
+    pub fn new(speeds: Vec<f64>, failure_probs: Vec<f64>, bandwidths: Vec<f64>) -> Result<Self> {
+        let m = speeds.len();
+        if m == 0 {
+            return Err(CoreError::EmptyPlatform);
+        }
+        if failure_probs.len() != m {
+            return Err(CoreError::DimensionMismatch {
+                what: "failure_probs",
+                expected: m,
+                actual: failure_probs.len(),
+            });
+        }
+        let cells = (m + 2).saturating_mul(m + 2);
+        if bandwidths.len() != cells {
+            return Err(CoreError::DimensionMismatch {
+                what: "bandwidths",
+                expected: cells,
+                actual: bandwidths.len(),
+            });
+        }
+        PlatformBuilder {
+            speeds,
+            failure_probs,
+            bandwidths,
+        }
+        .build()
+    }
+
     /// Number of compute processors `m`.
     #[inline]
     #[must_use]
@@ -164,6 +259,14 @@ impl Platform {
             Vertex::In => self.n_procs(),
             Vertex::Out => self.n_procs() + 1,
         }
+    }
+
+    /// The row-major `(m + 2) × (m + 2)` bandwidth matrix (vertex order:
+    /// processors, `In`, `Out`).
+    #[inline]
+    #[must_use]
+    pub fn bandwidth_matrix(&self) -> &[f64] {
+        &self.bandwidths
     }
 
     /// Bandwidth of the (bidirectional) link between `a` and `b`.
@@ -432,8 +535,9 @@ impl PlatformBuilder {
     ///
     /// # Errors
     /// * [`CoreError::EmptyPlatform`] for `m = 0`,
-    /// * [`CoreError::InvalidValue`] for non-positive/non-finite speeds or
-    ///   bandwidths, or failure probabilities outside `[0, 1]`.
+    /// * [`CoreError::InvalidValue`] for non-positive/non-finite speeds,
+    ///   NaN or non-positive bandwidths (`+∞` is a free link), a finite
+    ///   diagonal bandwidth, or failure probabilities outside `[0, 1]`.
     pub fn build(self) -> Result<Platform> {
         if self.speeds.is_empty() {
             return Err(CoreError::EmptyPlatform);
@@ -458,11 +562,12 @@ impl PlatformBuilder {
         for i in 0..n {
             for j in 0..n {
                 let b = self.bandwidths[i * n + j];
-                if i == j {
-                    debug_assert_eq!(b, f64::INFINITY);
-                    continue;
-                }
-                if b.is_nan() || b <= 0.0 {
+                let valid = if i == j {
+                    b == f64::INFINITY
+                } else {
+                    b > 0.0 // rejects NaN too
+                };
+                if !valid {
                     return Err(CoreError::InvalidValue {
                         what: "bandwidth",
                         value: b,

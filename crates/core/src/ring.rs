@@ -5,7 +5,7 @@
 //! (virtual nodes smooth the partition: with `v` vnodes per node the load
 //! imbalance concentrates around `1 ± O(1/√v)`). A key is owned by the
 //! node whose point is the first at or clockwise-after the key's own ring
-//! point. Both hashes reuse the canonical FNV-128 hasher
+//! point. Both hashes reuse the canonical 128-bit hasher
 //! ([`crate::hash::CanonicalHasher`]), so every process that knows the
 //! same node names computes the **same ownership function** — the
 //! property that lets a fleet of `rpwf serve` instances route cache

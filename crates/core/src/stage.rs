@@ -10,11 +10,12 @@
 //!
 //! [`Pipeline`] is immutable after construction and precomputes a prefix-sum
 //! of works so that the `Σ w_i` term of every latency formula is O(1) per
-//! interval.
+//! interval. Decoding goes through [`Pipeline::new`] too, so a decoded
+//! pipeline is validated and carries its prefix sums.
 
 use crate::error::{CoreError, Result};
 use crate::mapping::Interval;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Reader, Serialize, Value};
 
 /// A single pipeline stage: its compute volume and output data size.
 ///
@@ -29,15 +30,56 @@ pub struct Stage {
 }
 
 /// An immutable `n`-stage linear pipeline.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+///
+/// Wire form: `{"deltas": [...], "works": [...]}`.
+#[derive(Clone, Debug, PartialEq)]
 pub struct Pipeline {
     /// `δ_0 … δ_n` (length `n + 1`).
     deltas: Vec<f64>,
     /// `w_1 … w_n` (length `n`).
     works: Vec<f64>,
     /// `work_prefix[i] = Σ_{k < i} works[k]` (length `n + 1`).
-    #[serde(skip)]
     work_prefix: Vec<f64>,
+}
+
+impl Serialize for Pipeline {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![
+            ("deltas".into(), self.deltas.to_value()),
+            ("works".into(), self.works.to_value()),
+        ])
+    }
+}
+
+impl<'de> Deserialize<'de> for Pipeline {
+    fn from_value(value: &Value) -> std::result::Result<Self, serde::Error> {
+        if value.as_map().is_none() {
+            return Err(serde::Error::msg("expected map for struct Pipeline"));
+        }
+        let deltas = Vec::from_value(value.get_or_null("deltas"))?;
+        let works = Vec::from_value(value.get_or_null("works"))?;
+        Pipeline::new(works, deltas).map_err(invalid_pipeline)
+    }
+
+    fn from_json(reader: &mut Reader<'_>) -> std::result::Result<Self, serde::Error> {
+        let (mut deltas, mut works) = (None, None);
+        reader.begin_object()?;
+        while let Some(key) = reader.next_key()? {
+            match &*key {
+                "deltas" if deltas.is_none() => deltas = Some(Vec::from_json(reader)?),
+                "works" if works.is_none() => works = Some(Vec::from_json(reader)?),
+                _ => reader.skip()?,
+            }
+        }
+        let (Some(deltas), Some(works)) = (deltas, works) else {
+            return Err(serde::Error::msg("pipeline needs `deltas` and `works`"));
+        };
+        Pipeline::new(works, deltas).map_err(invalid_pipeline)
+    }
+}
+
+fn invalid_pipeline(e: CoreError) -> serde::Error {
+    serde::Error::msg(format!("invalid pipeline: {e}"))
 }
 
 impl Pipeline {
@@ -178,8 +220,8 @@ impl Pipeline {
         self.work_prefix[self.works.len()]
     }
 
-    /// Rebuilds the prefix-sum cache (needed after deserialization, where the
-    /// cache is skipped).
+    /// Rebuilds the prefix-sum cache. Every constructor, decoding
+    /// included, already builds it; this only recomputes it.
     #[must_use]
     pub fn with_rebuilt_cache(mut self) -> Self {
         self.work_prefix = prefix_sums(&self.works);

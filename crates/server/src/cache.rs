@@ -137,7 +137,7 @@ impl<V: Clone> ShardedLru<V> {
     }
 
     fn shard(&self, key: u128) -> &Mutex<Shard<V>> {
-        // Low bits of the FNV digest are well mixed.
+        // Low bits of the canonical digest are well mixed.
         &self.shards[(key as usize) % self.shards.len()]
     }
 

@@ -68,6 +68,12 @@ const MAX_OPEN_CONNS: u64 = 4096;
 /// Read/write chunk size on the event loop.
 const CHUNK: usize = 16 * 1024;
 
+/// Most bytes one readable event takes from a client socket. poll(2) is
+/// level-triggered, so the rest is read on a later pass: a client that
+/// keeps its socket readable cannot hold the event thread, and the lines
+/// one pass returns stay bounded however short they are.
+const READ_BUDGET: usize = 4 * CHUNK;
+
 /// Idle poll timeout: an upper bound on how stale a shutdown check can
 /// get even if every wake-up is missed.
 const IDLE_POLL_MS: i32 = 250;
@@ -152,17 +158,28 @@ struct WakeReader {
 }
 
 impl WakeReader {
-    /// Drains the pipe and clears the pending flag. Clearing *before*
-    /// the caller drains its inbox keeps the classic race safe: a
-    /// producer that enqueues after the drain sees the cleared flag and
-    /// writes a fresh byte, so the next poll returns immediately.
+    /// Empties the pipe, then clears the pending flag, both before the
+    /// caller drains its inbox. In that order a wake can never be lost: one
+    /// landing before the clear finds the flag still set and writes
+    /// nothing (its message is in the inbox the caller is about to drain),
+    /// one landing after it writes a fresh byte, so the next poll returns
+    /// at once. The other order loses the byte of a wake landing between
+    /// the two steps while its flag stays set, muting every later wake.
     fn drain(&mut self) {
-        self.pending.store(false, Ordering::SeqCst);
+        self.drain_with(|| {});
+    }
+
+    /// [`drain`](Self::drain) running `between` after the pipe is emptied
+    /// and before the flag clears — the window a concurrent wake can land
+    /// in, driven by hand in the tests.
+    fn drain_with(&mut self, between: impl FnOnce()) {
         #[cfg(unix)]
         {
             let mut buf = [0u8; 64];
             while matches!(self.reader.read(&mut buf), Ok(n) if n > 0) {}
         }
+        between();
+        self.pending.store(false, Ordering::SeqCst);
     }
 }
 
@@ -336,6 +353,8 @@ pub(crate) struct ReactorCtx {
     pub(crate) metrics: Arc<ReactorMetrics>,
     faults: Option<Arc<FaultPlan>>,
     threads: Vec<ThreadHandle>,
+    /// Wakes the accept thread out of its poll (shutdown, injected kill).
+    accept_wake: WakeHandle,
     /// Hop-lane sender; taken (closing the lane) at shutdown.
     hop_tx: Mutex<Option<Sender<Job>>>,
     /// This node's identity for shed-response metadata.
@@ -360,13 +379,14 @@ impl ReactorCtx {
 
     /// Flips the shutdown flag and wakes everyone: event threads exit
     /// their loops (severing their connections on the way out), the hop
-    /// lane disconnects, the accept loop stops within its poll tick.
+    /// lane disconnects, the accept loop leaves its poll and stops.
     fn signal_shutdown(&self) {
         self.shutdown.store(true, Ordering::Relaxed);
         *self.hop_tx.lock().expect("hop lane lock") = None;
         for t in &self.threads {
             t.wake.wake();
         }
+        self.accept_wake.wake();
     }
 
     /// Executes an injected `KillNode`: mark the plan, then go dark
@@ -415,6 +435,8 @@ impl Reactor {
             readers.push(reader);
         }
 
+        let (accept_wake_reader, accept_wake) = wake_pair()?;
+
         // Hop executors: sized like the solve pool, but a separate lane
         // (see the module docs for the cross-node deadlock argument).
         let hop_count = pool.service().config().effective_workers().max(1);
@@ -426,6 +448,7 @@ impl Reactor {
             metrics: Arc::clone(&metrics),
             faults,
             threads: handles,
+            accept_wake,
             hop_tx: Mutex::new(Some(hop_tx)),
             node_id: pool.service().config().node_id.clone(),
             next_thread: AtomicUsize::new(0),
@@ -518,7 +541,7 @@ impl Reactor {
         let accept_ctx = Arc::clone(&ctx);
         let accept = std::thread::Builder::new()
             .name("rpwf-accept".into())
-            .spawn(move || accept_loop(&listener, &accept_ctx))
+            .spawn(move || accept_loop(&listener, &accept_ctx, accept_wake_reader))
             .expect("spawn accept thread");
 
         Ok(Reactor {
@@ -544,7 +567,7 @@ impl Reactor {
     }
 }
 
-fn accept_loop(listener: &TcpListener, ctx: &Arc<ReactorCtx>) {
+fn accept_loop(listener: &TcpListener, ctx: &Arc<ReactorCtx>, mut wake: WakeReader) {
     while !ctx.shutdown.load(Ordering::Relaxed) {
         match listener.accept() {
             Ok((stream, _peer)) => {
@@ -568,7 +591,7 @@ fn accept_loop(listener: &TcpListener, ctx: &Arc<ReactorCtx>) {
                 ctx.dispatch(Msg::NewConn(stream));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
+                wait_acceptable(listener, &mut wake);
             }
             Err(e) => {
                 // Transient accept errors (EMFILE, ECONNABORTED, EINTR,
@@ -579,6 +602,37 @@ fn accept_loop(listener: &TcpListener, ctx: &Arc<ReactorCtx>) {
             }
         }
     }
+}
+
+/// Blocks until the listener has a connection to accept or the accept
+/// wake fires (shutdown, injected kill) — bounded by the idle tick, like
+/// the event loops.
+#[cfg(unix)]
+fn wait_acceptable(listener: &TcpListener, wake: &mut WakeReader) {
+    use std::os::unix::io::AsRawFd;
+    let mut fds = [
+        sys::PollFd {
+            fd: listener.as_raw_fd(),
+            events: sys::POLLIN,
+            revents: 0,
+        },
+        sys::PollFd {
+            fd: wake.reader.as_raw_fd(),
+            events: sys::POLLIN,
+            revents: 0,
+        },
+    ];
+    if sys::poll(&mut fds, IDLE_POLL_MS) < 0 {
+        std::thread::sleep(Duration::from_millis(5));
+    } else if fds[1].revents != 0 {
+        wake.drain();
+    }
+}
+
+#[cfg(not(unix))]
+fn wait_acceptable(_listener: &TcpListener, wake: &mut WakeReader) {
+    std::thread::sleep(Duration::from_millis(5));
+    wake.drain();
 }
 
 /// The response-side state of one connection, shared with every respond
@@ -666,8 +720,104 @@ struct Conn {
     stream: TcpStream,
     shared: Arc<ConnShared>,
     cancel: CancelHandle,
-    inbuf: Vec<u8>,
+    inbuf: LineBuf,
     read_closed: bool,
+}
+
+/// Bytes read from a socket but not yet returned as lines. Every byte is
+/// scanned for a newline once, however many reads a long line spans, and
+/// every line is copied once, into a `String` of its exact size.
+#[derive(Default)]
+struct LineBuf {
+    buf: Vec<u8>,
+    /// Start of the first line not yet returned.
+    start: usize,
+    /// `buf[start..scanned]` holds no newline.
+    scanned: usize,
+}
+
+impl LineBuf {
+    fn extend(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// The next complete line, without its newline and a trailing CR;
+    /// invalid UTF-8 is replaced lossily.
+    fn next_line(&mut self) -> Option<String> {
+        let Some(offset) = self.buf[self.scanned..].iter().position(|&b| b == b'\n') else {
+            self.scanned = self.buf.len();
+            return None;
+        };
+        let end = self.scanned + offset;
+        let mut line = &self.buf[self.start..end];
+        if let [head @ .., b'\r'] = line {
+            line = head;
+        }
+        let text = match std::str::from_utf8(line) {
+            Ok(text) => text.to_owned(),
+            Err(_) => String::from_utf8_lossy(line).into_owned(),
+        };
+        self.start = end + 1;
+        self.scanned = self.start;
+        Some(text)
+    }
+
+    /// Bytes of the unterminated tail.
+    fn pending(&self) -> usize {
+        self.buf.len() - self.start
+    }
+
+    /// Forgets the returned lines (one move of the unterminated tail).
+    fn compact(&mut self) {
+        self.buf.drain(..self.start);
+        self.scanned -= self.start;
+        self.start = 0;
+    }
+
+    fn clear(&mut self) {
+        *self = LineBuf::default();
+    }
+}
+
+/// How a [`read_lines`] pass ended.
+#[derive(Debug, PartialEq, Eq)]
+enum ReadEnd {
+    /// The socket would block or the pass spent its budget.
+    Open,
+    /// EOF or a read error.
+    Closed,
+    /// The unterminated tail grew past [`MAX_LINE_BYTES`].
+    Overlong,
+}
+
+/// One read pass over a client socket: at most [`READ_BUDGET`] bytes
+/// into `inbuf`, every line they complete appended to `lines`.
+fn read_lines(stream: &mut impl Read, inbuf: &mut LineBuf, lines: &mut Vec<String>) -> ReadEnd {
+    let mut buf = [0u8; CHUNK];
+    let mut budget = READ_BUDGET;
+    let end = loop {
+        if budget == 0 {
+            break ReadEnd::Open;
+        }
+        match stream.read(&mut buf[..budget.min(CHUNK)]) {
+            Ok(0) => break ReadEnd::Closed,
+            Ok(n) => {
+                budget -= n;
+                inbuf.extend(&buf[..n]);
+                while let Some(line) = inbuf.next_line() {
+                    lines.push(line);
+                }
+                if inbuf.pending() > MAX_LINE_BYTES {
+                    break ReadEnd::Overlong;
+                }
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break ReadEnd::Open,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(_) => break ReadEnd::Closed,
+        }
+    };
+    inbuf.compact();
+    end
 }
 
 /// A pending peer forward: the nonblocking continuation of one
@@ -699,7 +849,7 @@ enum FwdPhase {
         stream: TcpStream,
         out: Vec<u8>,
         pos: usize,
-        inbuf: Vec<u8>,
+        inbuf: LineBuf,
     },
 }
 
@@ -993,7 +1143,7 @@ impl EventThread {
                 stream,
                 shared,
                 cancel: CancelHandle::new(),
-                inbuf: Vec::new(),
+                inbuf: LineBuf::default(),
                 read_closed: false,
             },
         );
@@ -1003,56 +1153,29 @@ impl EventThread {
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Drains the socket and returns every complete line (CR stripped).
-    /// EOF or a read error half-closes the connection and fires its
-    /// cancel handle — queued responses still flush before GC.
+    /// Reads up to [`READ_BUDGET`] bytes and returns every complete line
+    /// (CR stripped). EOF or a read error half-closes the connection and
+    /// fires its cancel handle — queued responses still flush before GC.
     fn read_conn(&mut self, id: u64) -> Vec<String> {
         let mut lines = Vec::new();
         let Some(conn) = self.conns.get_mut(&id) else {
             return lines;
         };
-        let mut buf = [0u8; CHUNK];
-        loop {
-            match conn.stream.read(&mut buf) {
-                Ok(0) => {
-                    conn.read_closed = true;
-                    conn.cancel.cancel();
-                    break;
-                }
-                Ok(n) => {
-                    conn.inbuf.extend_from_slice(&buf[..n]);
-                    if conn.inbuf.len() > MAX_LINE_BYTES {
-                        // A single unterminated line this large is not a
-                        // client we serve.
-                        conn.read_closed = true;
-                        conn.cancel.cancel();
-                        conn.shared.dead.store(true, Ordering::Relaxed);
-                        conn.inbuf.clear();
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    conn.read_closed = true;
-                    conn.cancel.cancel();
-                    break;
-                }
+        match read_lines(&mut conn.stream, &mut conn.inbuf, &mut lines) {
+            ReadEnd::Open => {}
+            ReadEnd::Closed => {
+                conn.read_closed = true;
+                conn.cancel.cancel();
             }
-        }
-        let mut consumed = 0;
-        for i in 0..conn.inbuf.len() {
-            if conn.inbuf[i] == b'\n' {
-                let mut line = String::from_utf8_lossy(&conn.inbuf[consumed..i]).into_owned();
-                if line.ends_with('\r') {
-                    line.pop();
-                }
-                lines.push(line);
-                consumed = i + 1;
+            ReadEnd::Overlong => {
+                // A single unterminated line this large is not a client
+                // we serve.
+                conn.read_closed = true;
+                conn.cancel.cancel();
+                conn.shared.dead.store(true, Ordering::Relaxed);
+                conn.inbuf.clear();
+                lines.clear();
             }
-        }
-        if consumed > 0 {
-            conn.inbuf.drain(..consumed);
         }
         lines
     }
@@ -1341,7 +1464,7 @@ impl EventThread {
                     stream,
                     out: hopped_bytes(&st.fwd.hopped_line),
                     pos: 0,
-                    inbuf: Vec::new(),
+                    inbuf: LineBuf::default(),
                 };
                 self.arm_forward_deadline(id, &st);
                 self.forwards.insert(id, st);
@@ -1396,7 +1519,7 @@ impl EventThread {
                     stream,
                     out: hopped_bytes(&st.fwd.hopped_line),
                     pos: 0,
-                    inbuf: Vec::new(),
+                    inbuf: LineBuf::default(),
                 };
                 self.forwards.insert(fwd, st);
                 self.advance_forward(fwd);
@@ -1436,7 +1559,7 @@ impl EventThread {
             if let FwdPhase::Active { stream, inbuf, .. } =
                 std::mem::replace(&mut st.phase, FwdPhase::Connecting)
             {
-                if inbuf.is_empty() {
+                if inbuf.pending() == 0 {
                     peer.park_nonblocking(stream);
                 }
                 // Trailing bytes past the terminal line would poison the
@@ -1586,34 +1709,22 @@ fn drive_forward_io(st: &mut ForwardState) -> FwdIo {
             }
             Ok(n) => {
                 *got_bytes = true;
-                inbuf.extend_from_slice(&buf[..n]);
-                let mut consumed = 0;
-                let mut i = 0;
-                while i < inbuf.len() {
-                    if inbuf[i] == b'\n' {
-                        let mut text = String::from_utf8_lossy(&inbuf[consumed..i]).into_owned();
-                        if text.ends_with('\r') {
-                            text.pop();
-                        }
-                        consumed = i + 1;
-                        let Ok(parsed) = serde_json::from_str::<Response>(text.trim()) else {
-                            return FwdIo::Failed(std::io::Error::new(
-                                std::io::ErrorKind::InvalidData,
-                                "peer sent an unparseable response",
-                            ));
-                        };
-                        let terminal = parsed.status != "part";
-                        lines.push(text);
-                        if terminal {
-                            inbuf.drain(..consumed);
-                            return FwdIo::Done;
-                        }
+                inbuf.extend(&buf[..n]);
+                while let Some(text) = inbuf.next_line() {
+                    let Ok(parsed) = serde_json::from_str::<Response>(text.trim()) else {
+                        return FwdIo::Failed(std::io::Error::new(
+                            std::io::ErrorKind::InvalidData,
+                            "peer sent an unparseable response",
+                        ));
+                    };
+                    let terminal = parsed.status != "part";
+                    lines.push(text);
+                    if terminal {
+                        inbuf.compact();
+                        return FwdIo::Done;
                     }
-                    i += 1;
                 }
-                if consumed > 0 {
-                    inbuf.drain(..consumed);
-                }
+                inbuf.compact();
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 return FwdIo::Pending {
@@ -1684,6 +1795,134 @@ mod tests {
         assert!(!is_solve_shaped(r#"{"cmd":"Ping"}"#));
         assert!(!is_solve_shaped(r#"{"cmd":"Stats"}"#));
         assert!(!is_solve_shaped(r#"{"cmd":"Metrics"}"#));
+    }
+
+    /// Whether the wake pipe holds a byte, i.e. whether the event
+    /// thread's next poll would return at once.
+    #[cfg(unix)]
+    fn pipe_is_readable(reader: &WakeReader) -> bool {
+        use std::os::unix::io::AsRawFd;
+        let mut fds = [sys::PollFd {
+            fd: reader.reader.as_raw_fd(),
+            events: sys::POLLIN,
+            revents: 0,
+        }];
+        sys::poll(&mut fds, 0) > 0
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_wake_landing_mid_drain_is_never_lost() {
+        let (mut reader, wake) = wake_pair().expect("wake pair");
+        wake.wake();
+        // The producer's wake lands inside the drain, between its two
+        // steps. Emptying the pipe before clearing the flag means it
+        // either finds the flag still set (its message is already queued
+        // for the drain that follows) or writes a byte the next poll sees;
+        // the reverse order swallows its byte while the flag stays set.
+        reader.drain_with(|| wake.wake());
+        assert!(
+            !reader.pending.load(Ordering::SeqCst),
+            "a drained pipe leaves no wake pending"
+        );
+        wake.wake();
+        assert!(
+            pipe_is_readable(&reader),
+            "the next wake after a drain must reach the poll"
+        );
+        reader.drain();
+        assert!(!pipe_is_readable(&reader));
+    }
+
+    #[test]
+    fn line_buf_scans_each_byte_once_and_copies_exact_lines() {
+        let mut buf = LineBuf::default();
+        buf.extend(b"{\"id\":1}\r\n{\"id\"");
+        assert_eq!(buf.next_line().as_deref(), Some("{\"id\":1}"));
+        assert_eq!(buf.next_line(), None);
+        assert_eq!(buf.scanned, buf.buf.len(), "the tail is scanned once");
+        buf.compact();
+        assert_eq!(buf.pending(), 5);
+        buf.extend(b":2}\n\n\xffok\n");
+        let line = buf.next_line().expect("completed line");
+        assert_eq!(line, "{\"id\":2}");
+        assert_eq!(line.capacity(), line.len(), "exact-size copy");
+        assert_eq!(buf.next_line().as_deref(), Some(""), "blank keep-alive");
+        assert_eq!(
+            buf.next_line().as_deref(),
+            Some("\u{fffd}ok"),
+            "invalid UTF-8 is replaced, not dropped"
+        );
+        assert_eq!(buf.next_line(), None);
+        buf.compact();
+        assert_eq!(buf.pending(), 0);
+        assert!(buf.buf.is_empty());
+    }
+
+    /// A socket whose peer has written `supply` copies of `byte`, and
+    /// would block once they are read.
+    struct Flood {
+        byte: u8,
+        supply: usize,
+    }
+
+    impl Read for Flood {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.supply == 0 {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            let n = buf.len().min(self.supply);
+            buf[..n].fill(self.byte);
+            self.supply -= n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_read_pass_takes_one_budget_of_a_flood_of_lines() {
+        let passes = 16;
+        let mut flood = Flood {
+            byte: b'\n',
+            supply: passes * READ_BUDGET,
+        };
+        let mut inbuf = LineBuf::default();
+        for pass in 1..=passes {
+            let mut lines = Vec::new();
+            assert_eq!(
+                read_lines(&mut flood, &mut inbuf, &mut lines),
+                ReadEnd::Open
+            );
+            assert_eq!(lines.len(), READ_BUDGET, "pass {pass} reads one budget");
+            assert_eq!(flood.supply, (passes - pass) * READ_BUDGET);
+            assert!(inbuf.buf.capacity() <= READ_BUDGET, "pass {pass}");
+        }
+        let mut lines = Vec::new();
+        assert_eq!(
+            read_lines(&mut flood, &mut inbuf, &mut lines),
+            ReadEnd::Open
+        );
+        assert!(lines.is_empty());
+    }
+
+    #[test]
+    fn an_unterminated_line_past_the_cap_is_overlong() {
+        let mut flood = Flood {
+            byte: b'x',
+            supply: MAX_LINE_BYTES + 1,
+        };
+        let mut inbuf = LineBuf::default();
+        let mut lines = Vec::new();
+        let mut passes = 0;
+        let end = loop {
+            passes += 1;
+            match read_lines(&mut flood, &mut inbuf, &mut lines) {
+                ReadEnd::Open => assert!(flood.supply > 0, "the cap is reached first"),
+                end => break end,
+            }
+        };
+        assert_eq!(end, ReadEnd::Overlong);
+        assert_eq!(passes, MAX_LINE_BYTES / READ_BUDGET + 1);
+        assert!(lines.is_empty());
     }
 
     #[test]

@@ -367,14 +367,9 @@ impl RingRouter {
     }
 
     /// The owner list (primary first) of a request, empty when it routes
-    /// locally. Instance hashing can panic on structurally broken
-    /// (deserialized) instances; those are treated as local so the
-    /// service reports the structured error.
+    /// locally.
     fn owners_of(&self, cmd: &Command) -> Vec<String> {
-        let key = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cmd.route_key()))
-            .ok()
-            .flatten();
-        match key {
+        match cmd.route_key() {
             Some(key) => self
                 .ring
                 .owners(key, self.replicas)

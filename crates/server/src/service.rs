@@ -385,11 +385,9 @@ impl SolverService {
     /// Handles one parsed request, returning the **final** response (for
     /// streamed requests the preceding `part` responses are discarded —
     /// use [`handle_request_into`](Self::handle_request_into) to observe
-    /// them). Panics anywhere in the handling path (including instance
-    /// hashing — serde does not re-validate model invariants, so a
-    /// structurally broken instance can panic deep in solver or digest
-    /// code) are caught and reported as `internal` errors so a malformed
-    /// instance cannot take a worker down.
+    /// them). Instances are validated when they are decoded; panics
+    /// anywhere in the handling path are still caught and reported as
+    /// `internal` errors, so no request can take a worker down.
     #[must_use]
     pub fn handle(&self, request: Request, received: Instant) -> Response {
         self.handle_cancellable(request, received, None)
@@ -447,8 +445,21 @@ impl SolverService {
             trace.add("decode", Some(ROOT_SPAN), 0, trace.elapsed_us(), Vec::new());
             (trace, root)
         });
+        // The command's latency is recorded as its final response leaves,
+        // not after the handler returns: a transport flushes answers as
+        // soon as they are pushed, so the client's next request (a `Stats`,
+        // say) must already see this one counted.
+        let recorded = std::cell::Cell::new(false);
+        let record = || {
+            if !recorded.replace(true) {
+                self.metrics.record(name, elapsed_us(start));
+            }
+        };
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut emit_traced = |mut resp: Response| {
+                if resp.status != "part" {
+                    record();
+                }
                 if let Some((trace, root)) = &trace {
                     if resp.status != "part" {
                         trace.end(root);
@@ -472,6 +483,7 @@ impl SolverService {
             self.handle_inner(request, received, start, cancel, scope, &mut emit_traced);
         }));
         if let Err(panic) = outcome {
+            record();
             emit(Response::error(
                 id,
                 ErrorKind::Internal,
@@ -479,7 +491,7 @@ impl SolverService {
                 self.meta_plain(start),
             ));
         }
-        self.metrics.record(name, elapsed_us(start));
+        record();
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -581,8 +593,7 @@ impl SolverService {
         start: Instant,
         trace: Option<TraceScope<'_>>,
     ) -> Response {
-        let pipeline = pipeline.clone().with_rebuilt_cache();
-        let key = use_cache.then(|| instance_key(&pipeline, platform));
+        let key = use_cache.then(|| instance_key(pipeline, platform));
 
         // 1. Answer from a cached front when one is usable.
         let lookup_start = trace.map(|scope| scope.trace.elapsed_us());
@@ -607,7 +618,7 @@ impl SolverService {
                 let mut meta = self.meta(true, Some(hit.solver), Some(true), start);
                 if explain {
                     meta.explain = Some(self.attach_explanation(
-                        &pipeline, platform, objective, budget, use_cache, trace,
+                        pipeline, platform, objective, budget, use_cache, trace,
                     ));
                 }
                 return Response::infeasible(
@@ -630,7 +641,7 @@ impl SolverService {
         //    is a handful of class/bound checks (E18 bounds the whole
         //    dispatch at ≲1% of a solve), accepted to keep the
         //    cache-policy decision out of the engine.
-        let keep_front = key.is_some() && self.engine.front_backend(&pipeline, platform).is_some();
+        let keep_front = key.is_some() && self.engine.front_backend(pipeline, platform).is_some();
         let qkey = (!keep_front)
             .then(|| {
                 use_cache
@@ -664,7 +675,7 @@ impl SolverService {
         // 3. One engine call answers the request, whatever the instance.
         let report = self.engine.solve_traced(
             &SolveRequest {
-                pipeline: &pipeline,
+                pipeline,
                 platform,
                 want: Want::Point {
                     objective,
@@ -678,7 +689,7 @@ impl SolverService {
         if let (Some(k), Some(artifact)) = (key, &report.front) {
             let write_start = trace.map(|scope| scope.trace.elapsed_us());
             self.store_front(
-                &pipeline,
+                pipeline,
                 platform,
                 k,
                 Arc::clone(&artifact.front),
@@ -722,7 +733,7 @@ impl SolverService {
                 let mut meta = self.meta_plain(start);
                 if explain {
                     meta.explain = Some(self.attach_explanation(
-                        &pipeline, platform, objective, budget, use_cache, trace,
+                        pipeline, platform, objective, budget, use_cache, trace,
                     ));
                 }
                 Response::infeasible(
@@ -742,7 +753,7 @@ impl SolverService {
                 let mut meta = self.meta_plain(start);
                 if explain {
                     meta.explain = Some(self.attach_explanation(
-                        &pipeline, platform, objective, budget, use_cache, trace,
+                        pipeline, platform, objective, budget, use_cache, trace,
                     ));
                 }
                 Response::infeasible(
@@ -780,12 +791,11 @@ impl SolverService {
         start: Instant,
         trace: Option<TraceScope<'_>>,
     ) -> Response {
-        let pipeline = pipeline.clone().with_rebuilt_cache();
         if let Some(timeout) = self.doomed_solve(id, budget, start) {
             return timeout;
         }
         let explanation =
-            self.build_explanation(&pipeline, platform, objective, budget, use_cache, trace);
+            self.build_explanation(pipeline, platform, objective, budget, use_cache, trace);
         let solver = if explanation.proven {
             Provenance::Exact
         } else {
@@ -903,8 +913,7 @@ impl SolverService {
             ));
             return;
         }
-        let pipeline = pipeline.clone().with_rebuilt_cache();
-        let key = use_cache.then(|| instance_key(&pipeline, platform));
+        let key = use_cache.then(|| instance_key(pipeline, platform));
 
         let lookup_start = trace.map(|scope| scope.trace.elapsed_us());
         let cached = key.and_then(|k| self.usable_cached_front(k, budget));
@@ -928,7 +937,7 @@ impl SolverService {
                 // completeness.
                 let report = self.engine.solve_traced(
                     &SolveRequest {
-                        pipeline: &pipeline,
+                        pipeline,
                         platform,
                         want: match chunk {
                             Some(chunk) => Want::FrontStream { chunk },
@@ -960,7 +969,7 @@ impl SolverService {
                 if let Some(k) = key {
                     let write_start = trace.map(|scope| scope.trace.elapsed_us());
                     self.store_front(
-                        &pipeline,
+                        pipeline,
                         platform,
                         k,
                         Arc::clone(&front),
@@ -1062,15 +1071,14 @@ impl SolverService {
         if let Some(timeout) = self.doomed_solve(id, budget, start) {
             return timeout;
         }
-        let pipeline = pipeline.clone().with_rebuilt_cache();
         let trials = trials.unwrap_or(10_000).clamp(1, 10_000_000);
-        let safest = rpwf_algo::mono::minimize_failure(&pipeline, platform);
+        let safest = rpwf_algo::mono::minimize_failure(pipeline, platform);
         let mc = rpwf_sim::MonteCarlo {
             trials,
             ..Default::default()
         };
         let mc_span = trace.map(|scope| scope.trace.begin("simulate.mc", Some(scope.parent)));
-        let (report, complete) = mc.run_with_budget(&pipeline, platform, &safest.mapping, budget);
+        let (report, complete) = mc.run_with_budget(pipeline, platform, &safest.mapping, budget);
         if let (Some(scope), Some(handle)) = (trace, mc_span) {
             scope.trace.end(&handle);
             scope
@@ -1421,8 +1429,7 @@ impl SolverService {
                 self.meta_plain(start),
             );
         }
-        let pipeline = pipeline.clone().with_rebuilt_cache();
-        let key = instance_key(&pipeline, platform);
+        let key = instance_key(pipeline, platform);
         let points = front.len() as u64;
         let stored = self.store_front_raw(
             key,
@@ -1459,26 +1466,25 @@ impl SolverService {
     /// batch of threshold queries over it is answered by front reads. Used
     /// by batch grouping; a no-op when caching is disabled, when a usable
     /// front is already cached, or when no exact front backend applies
-    /// (queried through the engine's capability surface). Panics from
-    /// malformed instances are contained (the per-request path will report
-    /// them as structured errors).
+    /// (queried through the engine's capability surface). Panics are
+    /// contained (the per-request path reports them as structured
+    /// errors).
     pub fn warm_front(&self, pipeline: &Pipeline, platform: &Platform) {
         if self.cache.capacity() == 0 {
             return;
         }
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let pipeline = pipeline.clone().with_rebuilt_cache();
-            let key = instance_key(&pipeline, platform);
+            let key = instance_key(pipeline, platform);
             if let Some(CachedEntry::Front(hit)) = self.cache.get(key) {
                 if hit.complete || !hit.exact_capable {
                     return;
                 }
             }
-            if self.engine.front_backend(&pipeline, platform).is_none() {
+            if self.engine.front_backend(pipeline, platform).is_none() {
                 return;
             }
             let report = self.engine.solve(&SolveRequest {
-                pipeline: &pipeline,
+                pipeline,
                 platform,
                 want: Want::Front,
                 budget: &Budget::unlimited(),
@@ -1489,7 +1495,7 @@ impl SolverService {
             let exact_capable = report.completeness.exact_capable;
             if let Answer::Front(front) = report.answer {
                 self.store_front(
-                    &pipeline,
+                    pipeline,
                     platform,
                     key,
                     front,
@@ -1983,12 +1989,9 @@ impl WorkerPool {
             if request.no_cache.unwrap_or(false) {
                 continue;
             }
-            // Malformed instances can panic inside the canonical digest;
-            // skip them here and let the per-request path report the
-            // structured error.
-            let key =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| request.cmd.front_key()));
-            let Ok(Some(key)) = key else { continue };
+            let Some(key) = request.cmd.front_key() else {
+                continue;
+            };
             if let Command::Solve {
                 pipeline, platform, ..
             }
@@ -2047,9 +2050,9 @@ impl WorkerPool {
             if request.explain.unwrap_or(false) {
                 continue;
             }
-            let key =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| request.cmd.front_key()));
-            let Ok(Some(key)) = key else { continue };
+            let Some(key) = request.cmd.front_key() else {
+                continue;
+            };
             if let Command::Solve { objective, .. } = &request.cmd {
                 groups
                     .entry(key)

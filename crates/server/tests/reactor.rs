@@ -1,7 +1,8 @@
 //! Reactor transport robustness: requests arriving a few bytes at a
-//! time, slow-loris drip feeds, mid-line disconnects, cancellation on
-//! disconnect, overload shedding, and the serving-plane counters — all
-//! over real TCP sockets against [`rpwf_server::Server`].
+//! time, slow-loris drip feeds, floods of short lines, mid-line
+//! disconnects, cancellation on disconnect, overload shedding, and the
+//! serving-plane counters — all over real TCP sockets against
+//! [`rpwf_server::Server`].
 
 use rpwf_core::{FailureClass, PlatformClass};
 use rpwf_server::protocol::{Command, Request, Response, StatsResult};
@@ -9,6 +10,8 @@ use rpwf_server::{Server, ServiceConfig, ServingOptions};
 use serde::Deserialize;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn request_line(id: u64, deadline_ms: Option<u64>, cmd: Command) -> String {
@@ -140,6 +143,74 @@ fn slow_loris_drip_does_not_stall_fast_clients() {
     let resp = drip.join().expect("drip thread");
     assert_eq!(resp.status, "ok");
     assert_eq!(resp.id, Some(500));
+    server.shutdown();
+}
+
+#[test]
+fn a_flood_of_complete_lines_does_not_starve_other_clients() {
+    // ONE event thread. The flooder writes whitespace-only keep-alive
+    // lines as fast as its socket takes them, so its socket never stops
+    // being readable; a ping from a second client must still be answered
+    // while the flood goes on.
+    let mut server = Server::bind_tuned(
+        "127.0.0.1:0",
+        ServiceConfig {
+            workers: 2,
+            ..Default::default()
+        },
+        ServingOptions {
+            event_threads: 1,
+            ..Default::default()
+        },
+    )
+    .expect("bind");
+    let addr = server.local_addr();
+    const FLOOD_CAP: usize = 64 << 20;
+    let answered = Arc::new(AtomicBool::new(false));
+    let sent = Arc::new(AtomicUsize::new(0));
+
+    let flood = {
+        let (answered, sent) = (Arc::clone(&answered), Arc::clone(&sent));
+        std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            let mut chunk = vec![b' '; 64 << 10];
+            for line_end in chunk.iter_mut().skip(63).step_by(64) {
+                *line_end = b'\n';
+            }
+            while !answered.load(Ordering::SeqCst) && sent.load(Ordering::SeqCst) < FLOOD_CAP {
+                stream.write_all(&chunk).expect("flood write");
+                sent.fetch_add(chunk.len(), Ordering::SeqCst);
+            }
+            // Served, not severed: the flooder's own ping is answered.
+            writeln!(stream, "{}", request_line(2, None, Command::Ping)).expect("send");
+            let mut reader = BufReader::new(stream);
+            read_response(&mut reader)
+        })
+    };
+
+    while sent.load(Ordering::SeqCst) < 1 << 20 {
+        std::thread::yield_now();
+    }
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut w = stream;
+    writeln!(w, "{}", request_line(1, None, Command::Ping)).expect("send");
+    let resp = read_response(&mut reader);
+    answered.store(true, Ordering::SeqCst);
+    assert_eq!(resp.status, "ok");
+    assert_eq!(resp.id, Some(1));
+    let flooded = sent.load(Ordering::SeqCst);
+    assert!(
+        flooded < FLOOD_CAP,
+        "the ping waited for the whole {flooded}-byte flood"
+    );
+
+    let resp = flood.join().expect("flood thread");
+    assert_eq!(resp.status, "ok");
+    assert_eq!(resp.id, Some(2));
     server.shutdown();
 }
 

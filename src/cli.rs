@@ -36,17 +36,12 @@ pub struct InstanceFile {
 }
 
 impl InstanceFile {
-    /// Parses the JSON representation (rebuilding derived caches).
+    /// Parses (and validates) the JSON representation.
     ///
     /// # Errors
     /// A human-readable message for malformed JSON or invalid instances.
     pub fn from_json(text: &str) -> std::result::Result<Self, String> {
-        let parsed: InstanceFile =
-            serde_json::from_str(text).map_err(|e| format!("invalid instance JSON: {e}"))?;
-        Ok(InstanceFile {
-            pipeline: parsed.pipeline.with_rebuilt_cache(),
-            platform: parsed.platform,
-        })
+        serde_json::from_str(text).map_err(|e| format!("invalid instance JSON: {e}"))
     }
 
     /// Serializes to pretty JSON.
