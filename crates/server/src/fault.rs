@@ -26,7 +26,7 @@
 //!   dark: the failover path and the circuit breaker take over.
 //!
 //! Plans are injected at bind time ([`crate::Server::bind_ring_faulted`]
-//! / [`crate::Server::bind_with_router_faulted`]); a server bound
+//! / [`crate::Server::bind_with_router_tuned`]); a server bound
 //! without a plan pays nothing — the hook is an `Option` checked once
 //! per request line.
 

@@ -44,8 +44,8 @@
 //! * [`router`] — the request-path routing layer: [`router::LocalRouter`]
 //!   (single node) and [`router::RingRouter`] (consistent-hash fleet
 //!   sharding with transparent forwarding),
-//! * [`peer`] — pooled JSON-lines clients for fleet peers, each behind a
-//!   circuit breaker with seeded jittered backoff,
+//! * [`peer`] — per-peer connection pools and circuit breakers (seeded
+//!   jittered backoff) consulted by the reactor's forwards,
 //! * [`fault`] — deterministic, seed-scripted transport fault injection
 //!   (dropped connections, delays, corrupt lines, node kills) for chaos
 //!   tests,

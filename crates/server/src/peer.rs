@@ -1,47 +1,38 @@
-//! Pooled JSON-lines clients for fleet peers, with per-peer circuit
-//! breakers.
+//! Per-peer client state for fleet forwarding: an idle-connection pool
+//! and a circuit breaker.
 //!
-//! A [`Peer`] wraps one remote `rpwf serve` instance behind a small pool
-//! of reusable TCP connections. Forwarding a request checks a connection
-//! out (connecting lazily with a short timeout when the pool is dry),
-//! writes the request line, reads every response line of that request
-//! (`part` lines until the closing `ok`/`error`), and parks the
-//! connection for reuse. A connection that errors mid-call is dropped,
-//! and a call that failed on a *pooled* connection is retried once on a
-//! fresh one — a parked socket may have died with the peer and come back.
-//!
-//! Calls are whole-request: the forwarded response lines are buffered and
-//! only handed to the caller when the request completed, so a mid-stream
-//! peer failure can still fall back to a clean local solve without the
-//! client ever seeing a half-answered request. (The cost: a forwarded
-//! chunked `Pareto` buffers at the forwarding node; owner-routed clients
-//! keep the end-to-end streaming bound.)
+//! A [`Peer`] stands for one remote `rpwf serve` instance. It does no
+//! request I/O itself: the reactor's pending-forward table drives every
+//! exchange with a peer — client forwards, traced or not, and `CacheFill`
+//! pushes alike — and consults the peer for breaker admission, a pooled
+//! (or freshly connected) nonblocking socket, and outcome bookkeeping.
+//! A socket is parked again only after a clean exchange; one that
+//! errored is dropped, and a forward that failed on a *pooled* socket
+//! before any answer arrived is retried once on a fresh one — a parked
+//! socket may have died with the peer and come back.
 //!
 //! ## Circuit breaker
 //!
 //! Every peer carries a three-state breaker so a dead node costs the
 //! connect timeout **once**, not on every forwarded request:
 //!
-//! * **closed** — calls flow normally. [`BreakerConfig::threshold`]
-//!   *consecutive* failed calls (connect/IO errors and read timeouts
+//! * **closed** — forwards flow normally. [`BreakerConfig::threshold`]
+//!   *consecutive* failed forwards (connect/IO errors and read timeouts
 //!   alike) trip it open.
-//! * **open** — calls are rejected instantly (no connect attempt) until
+//! * **open** — forwards are rejected instantly (no connect attempt) until
 //!   a seeded jittered-exponential delay
 //!   ([`rpwf_core::backoff::JitteredBackoff`]) expires. Rejections are
 //!   counted in [`Peer::breaker_skips`] and spanned as
-//!   `peer.breaker_open`; the router treats them like any peer failure
-//!   (failover/fallback), so after the first trip a dead primary adds
-//!   ~0 latency.
-//! * **half-open** — the first call after the delay goes through as a
-//!   lone probe (concurrent calls are still rejected). Success closes
+//!   `peer.breaker_open`; the forward machine treats them like any peer
+//!   failure (failover/fallback), so after the first trip a dead primary
+//!   adds ~0 latency.
+//! * **half-open** — the first forward after the delay goes through as a
+//!   lone probe (concurrent forwards are still rejected). Success closes
 //!   the breaker and resets the backoff; failure re-opens it with the
 //!   next (longer) delay.
 
-use crate::protocol::Response;
 use rpwf_core::backoff::JitteredBackoff;
 use rpwf_core::hash::CanonicalHasher;
-use rpwf_core::trace::TraceScope;
-use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -61,7 +52,7 @@ pub(crate) fn is_timeout(e: &std::io::Error) -> bool {
 /// Circuit-breaker tuning.
 #[derive(Clone, Debug)]
 pub struct BreakerConfig {
-    /// Consecutive failed calls that trip the breaker open.
+    /// Consecutive failed forwards that trip the breaker open.
     pub threshold: u32,
     /// First open-state delay (the jittered-backoff base).
     pub backoff_base: Duration,
@@ -121,7 +112,8 @@ struct BreakerInner {
 pub struct Peer {
     addr: String,
     config: PeerConfig,
-    idle: Mutex<Vec<BufReader<TcpStream>>>,
+    /// Idle nonblocking connections, most recently parked last.
+    idle: Mutex<Vec<TcpStream>>,
     breaker: Mutex<BreakerInner>,
     forwards: AtomicU64,
     failures: AtomicU64,
@@ -130,14 +122,8 @@ pub struct Peer {
 }
 
 impl Peer {
-    /// A client for the peer at `addr` (`host:port`) with default
-    /// tuning. No connection is opened until the first call.
-    #[must_use]
-    pub fn new(addr: impl Into<String>) -> Self {
-        Self::with_config(addr, PeerConfig::default())
-    }
-
-    /// A client with explicit tuning.
+    /// A client for the peer at `addr` (`host:port`). No connection is
+    /// opened until the first forward.
     #[must_use]
     pub fn with_config(addr: impl Into<String>, config: PeerConfig) -> Self {
         let addr = addr.into();
@@ -185,8 +171,8 @@ impl Peer {
         self.forwards.load(Ordering::Relaxed)
     }
 
-    /// Calls that failed with a connect or I/O error (after the one
-    /// pooled-connection retry) and fell back to the caller. Read
+    /// Forwards that failed with a connect or I/O error (after the one
+    /// pooled-connection retry) or an unparseable answer. Read
     /// timeouts are counted separately in [`timeouts`](Self::timeouts) —
     /// a refused connect means the peer is *down*, a timeout means it is
     /// up but not answering, and the two call for different operator
@@ -196,13 +182,13 @@ impl Peer {
         self.failures.load(Ordering::Relaxed)
     }
 
-    /// Calls that timed out waiting for a response line.
+    /// Forwards that timed out waiting for a response line.
     #[must_use]
     pub fn timeouts(&self) -> u64 {
         self.timeouts.load(Ordering::Relaxed)
     }
 
-    /// Calls rejected instantly because the breaker was open (no connect
+    /// Forwards rejected instantly because the breaker was open (no connect
     /// was attempted).
     #[must_use]
     pub fn breaker_skips(&self) -> u64 {
@@ -211,7 +197,7 @@ impl Peer {
 
     /// The breaker's current state: `"closed"`, `"open"`, or
     /// `"half-open"`. An expired open delay still reads `"open"` until
-    /// the next call promotes it to the half-open probe.
+    /// the next forward promotes it to the half-open probe.
     #[must_use]
     pub fn breaker_state(&self) -> &'static str {
         match self.breaker.lock().expect("peer breaker lock").phase {
@@ -232,86 +218,69 @@ impl Peer {
         }
     }
 
-    /// Admission control: `Ok` when the call may proceed (possibly as
-    /// the half-open probe), `Err` when the breaker rejects it.
-    fn admit(&self) -> std::io::Result<()> {
-        let mut breaker = self.breaker.lock().expect("peer breaker lock");
-        match breaker.phase {
-            BreakerPhase::Closed => Ok(()),
-            BreakerPhase::Open { until } => {
-                if Instant::now() >= until {
-                    // This call is the probe; concurrent calls keep
-                    // seeing a non-closed phase and are rejected.
-                    breaker.phase = BreakerPhase::HalfOpen;
-                    Ok(())
-                } else {
-                    Err(std::io::Error::new(
-                        std::io::ErrorKind::ConnectionRefused,
-                        format!("breaker open for peer {}", self.addr),
-                    ))
-                }
-            }
-            BreakerPhase::HalfOpen => Err(std::io::Error::new(
-                std::io::ErrorKind::ConnectionRefused,
-                format!("breaker half-open for peer {} (probe in flight)", self.addr),
-            )),
-        }
-    }
-
-    /// Reactor-path admission: `true` when a call may proceed. A
-    /// rejection is counted in [`breaker_skips`](Self::breaker_skips),
-    /// exactly like the synchronous path's breaker rejection.
+    /// Breaker admission for one forward: `true` when it may proceed
+    /// (possibly as the half-open probe). A rejection is counted in
+    /// [`breaker_skips`](Self::breaker_skips).
     pub(crate) fn try_admit(&self) -> bool {
-        if self.admit().is_ok() {
-            true
-        } else {
+        let mut breaker = self.breaker.lock().expect("peer breaker lock");
+        let admitted = match breaker.phase {
+            BreakerPhase::Closed => true,
+            BreakerPhase::Open { until } if Instant::now() >= until => {
+                // This forward is the probe; concurrent forwards keep
+                // seeing a non-closed phase and are rejected.
+                breaker.phase = BreakerPhase::HalfOpen;
+                true
+            }
+            BreakerPhase::Open { .. } | BreakerPhase::HalfOpen => false,
+        };
+        if !admitted {
             self.breaker_skips.fetch_add(1, Ordering::Relaxed);
-            false
         }
+        admitted
     }
 
-    /// Reactor-path checkout of an idle pooled connection, converted to
-    /// nonblocking for the poll loop. `None` when the pool is dry (the
-    /// reactor then connects on a helper thread). Any bytes buffered in
-    /// the parked reader would have to be protocol garbage from a
-    /// misbehaving peer; the conversion drops them.
-    pub(crate) fn take_idle_nonblocking(&self) -> Option<TcpStream> {
-        let conn = self.idle.lock().expect("peer pool lock").pop()?;
-        let stream = conn.into_inner();
-        stream.set_read_timeout(None).ok()?;
-        stream.set_nonblocking(true).ok()?;
-        Some(stream)
+    /// An idle pooled connection, or `None` when the pool is dry (the
+    /// reactor then connects on a helper thread).
+    pub(crate) fn take_idle(&self) -> Option<TcpStream> {
+        self.idle.lock().expect("peer pool lock").pop()
     }
 
-    /// Reactor-path fresh connect (blocking, bounded by the configured
-    /// connect timeout — the reactor runs it on a helper thread). The
-    /// returned stream is nonblocking.
+    /// A fresh nonblocking connection. The connect itself blocks, bounded
+    /// by the configured connect timeout — the reactor runs it on a
+    /// helper thread.
     ///
     /// # Errors
     /// Propagates resolution and connect failures.
-    pub(crate) fn connect_nonblocking(&self) -> std::io::Result<TcpStream> {
-        let stream = Self::connect(&self.addr, self.config.connect_timeout)?.into_inner();
+    pub(crate) fn connect(&self) -> std::io::Result<TcpStream> {
+        let resolved = self.addr.to_socket_addrs()?.next().ok_or_else(|| {
+            std::io::Error::new(
+                std::io::ErrorKind::AddrNotAvailable,
+                format!("peer address {:?} resolves to nothing", self.addr),
+            )
+        })?;
+        let stream = TcpStream::connect_timeout(&resolved, self.config.connect_timeout)?;
+        stream.set_nodelay(true)?;
         stream.set_nonblocking(true)?;
         Ok(stream)
     }
 
-    /// Returns a reactor-checked-out connection to the idle pool,
-    /// restored to blocking mode for the synchronous callers.
-    pub(crate) fn park_nonblocking(&self, stream: TcpStream) {
-        if stream.set_nonblocking(false).is_ok() {
-            self.park(BufReader::new(stream));
+    /// Returns a connection whose exchange completed cleanly to the idle
+    /// pool (excess sockets are dropped).
+    pub(crate) fn park(&self, stream: TcpStream) {
+        let mut idle = self.idle.lock().expect("peer pool lock");
+        if idle.len() < MAX_IDLE {
+            idle.push(stream);
         }
     }
 
-    /// Reactor-path outcome recording: success. Mirrors the counter and
-    /// breaker bookkeeping of [`call`](Self::call).
+    /// Outcome recording: the peer answered.
     pub(crate) fn record_async_success(&self) {
         self.forwards.fetch_add(1, Ordering::Relaxed);
         self.record_outcome(true);
     }
 
-    /// Reactor-path outcome recording: failure, split by timeout-ness
-    /// like the synchronous path.
+    /// Outcome recording: the forward failed, counted in
+    /// [`timeouts`](Self::timeouts) or [`failures`](Self::failures).
     pub(crate) fn record_async_failure(&self, timeout: bool) {
         if timeout {
             self.timeouts.fetch_add(1, Ordering::Relaxed);
@@ -321,7 +290,7 @@ impl Peer {
         self.record_outcome(false);
     }
 
-    /// Feeds a call outcome into the breaker state machine.
+    /// Feeds a forward's outcome into the breaker state machine.
     fn record_outcome(&self, ok: bool) {
         let mut breaker = self.breaker.lock().expect("peer breaker lock");
         if ok {
@@ -344,346 +313,95 @@ impl Peer {
             };
         }
     }
-
-    /// Sends one request line and returns every response line of that
-    /// request, in order (zero or more `part` lines, then the closing
-    /// `ok`/`error` line). `read_timeout` bounds each response-line read
-    /// (the forwarding layer derives it from the request deadline, with a
-    /// long watchdog for deadline-free requests), so a peer that accepts
-    /// but never answers — partitioned, paused, wedged — cannot pin the
-    /// calling worker forever; the timeout surfaces as an error and the
-    /// caller falls back to a local solve.
-    ///
-    /// # Errors
-    /// Propagates connect/write/read failures, read timeouts, and
-    /// breaker rejections — the caller treats any error as "peer down"
-    /// and fails over or solves locally.
-    pub fn call(&self, line: &str, read_timeout: Duration) -> std::io::Result<Vec<String>> {
-        self.call_traced(line, read_timeout, None)
-    }
-
-    /// [`call`](Self::call) recording connection-level spans into `scope`
-    /// (`peer.breaker_open` when the breaker rejects the call outright,
-    /// `peer.connect` around the checkout, `peer.retry` when a stale
-    /// pooled socket forces a fresh attempt, `peer.roundtrip` around the
-    /// write-and-read exchange). With `scope: None` this *is* `call`.
-    ///
-    /// # Errors
-    /// Same contract as [`call`](Self::call).
-    pub fn call_traced(
-        &self,
-        line: &str,
-        read_timeout: Duration,
-        scope: Option<TraceScope<'_>>,
-    ) -> std::io::Result<Vec<String>> {
-        if let Err(rejected) = self.admit() {
-            self.breaker_skips.fetch_add(1, Ordering::Relaxed);
-            if let Some(s) = scope {
-                s.trace.add(
-                    "peer.breaker_open",
-                    Some(s.parent),
-                    s.trace.elapsed_us(),
-                    0,
-                    vec![("peer".to_owned(), self.addr.clone())],
-                );
-            }
-            return Err(rejected);
-        }
-        let outcome = self.try_call(line, read_timeout, scope);
-        match &outcome {
-            Ok(_) => {
-                self.forwards.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(e) if is_timeout(e) => {
-                self.timeouts.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
-                self.failures.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        self.record_outcome(outcome.is_ok());
-        outcome
-    }
-
-    fn try_call(
-        &self,
-        line: &str,
-        read_timeout: Duration,
-        scope: Option<TraceScope<'_>>,
-    ) -> std::io::Result<Vec<String>> {
-        let read_timeout = read_timeout.max(Duration::from_millis(1));
-        let connect_span = scope.map(|s| s.trace.begin("peer.connect", Some(s.parent)));
-        let checked = self.checkout();
-        if let (Some(s), Some(handle)) = (scope, connect_span.as_ref()) {
-            s.trace.end(handle);
-            let pooled = checked.as_ref().is_ok_and(|&(_, pooled)| pooled);
-            s.trace.attr(handle.index(), "pooled", pooled.to_string());
-            s.trace
-                .attr(handle.index(), "ok", checked.is_ok().to_string());
-        }
-        let (mut conn, pooled) = checked?;
-        conn.get_ref().set_read_timeout(Some(read_timeout))?;
-        let roundtrip_span = scope.map(|s| s.trace.begin("peer.roundtrip", Some(s.parent)));
-        let mut outcome = Self::roundtrip(&mut conn, line);
-        if pooled && outcome.as_ref().is_err_and(|e| !is_timeout(e)) {
-            // The parked socket may simply be stale (instant write error
-            // or EOF); one fresh attempt. A *timeout* is different: the
-            // peer is up but not answering — retrying would double the
-            // client's wait and re-run the solve, so fail to the local
-            // fallback immediately.
-            if let Some(s) = scope {
-                s.trace.add(
-                    "peer.retry",
-                    Some(s.parent),
-                    s.trace.elapsed_us(),
-                    0,
-                    vec![("reason".to_owned(), "stale-pooled-connection".to_owned())],
-                );
-            }
-            if let Ok(fresh) = Self::connect(&self.addr, self.config.connect_timeout) {
-                conn = fresh;
-                conn.get_ref().set_read_timeout(Some(read_timeout))?;
-                outcome = Self::roundtrip(&mut conn, line);
-            }
-        }
-        if let (Some(s), Some(handle)) = (scope, roundtrip_span.as_ref()) {
-            s.trace.end(handle);
-            s.trace
-                .attr(handle.index(), "ok", outcome.is_ok().to_string());
-            if let Ok(lines) = &outcome {
-                s.trace
-                    .attr(handle.index(), "lines", lines.len().to_string());
-            }
-        }
-        if outcome.is_ok() {
-            self.park(conn);
-        }
-        outcome
-    }
-
-    /// A connection from the pool (flagged `true`) or a fresh one.
-    fn checkout(&self) -> std::io::Result<(BufReader<TcpStream>, bool)> {
-        if let Some(conn) = self.idle.lock().expect("peer pool lock").pop() {
-            return Ok((conn, true));
-        }
-        Ok((
-            Self::connect(&self.addr, self.config.connect_timeout)?,
-            false,
-        ))
-    }
-
-    fn connect(addr: &str, timeout: Duration) -> std::io::Result<BufReader<TcpStream>> {
-        let resolved = addr.to_socket_addrs()?.next().ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::AddrNotAvailable,
-                format!("peer address {addr:?} resolves to nothing"),
-            )
-        })?;
-        let stream = TcpStream::connect_timeout(&resolved, timeout)?;
-        stream.set_nodelay(true)?;
-        Ok(BufReader::new(stream))
-    }
-
-    fn park(&self, conn: BufReader<TcpStream>) {
-        let mut idle = self.idle.lock().expect("peer pool lock");
-        if idle.len() < MAX_IDLE {
-            idle.push(conn);
-        }
-    }
-
-    /// One request/response exchange on an exclusive connection.
-    fn roundtrip(conn: &mut BufReader<TcpStream>, line: &str) -> std::io::Result<Vec<String>> {
-        let stream = conn.get_mut();
-        stream.write_all(line.as_bytes())?;
-        stream.write_all(b"\n")?;
-        stream.flush()?;
-        let mut lines = Vec::with_capacity(1);
-        loop {
-            let mut buf = String::new();
-            if conn.read_line(&mut buf)? == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "peer closed the connection mid-request",
-                ));
-            }
-            let response = buf.trim_end_matches(['\n', '\r']).to_string();
-            // `part` lines continue the same request, `ok`/`error` lines
-            // terminate it. A line that does not parse as a response at
-            // all is a *protocol* failure (corrupted or misbehaving
-            // peer): surface it as an error so the caller fails over or
-            // falls back instead of relaying garbage to the client.
-            let Ok(parsed) = serde_json::from_str::<Response>(&response) else {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    "peer returned an unparseable response line",
-                ));
-            };
-            let done = parsed.status != "part";
-            lines.push(response);
-            if done {
-                return Ok(lines);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn unreachable_peer_fails_fast_and_counts() {
-        // A port from the TEST-NET-3 doc range: nothing listens there.
-        let peer = Peer::new("127.0.0.1:1");
-        let err = peer.call("{\"cmd\":\"Ping\"}", Duration::from_secs(1));
-        assert!(err.is_err());
-        assert_eq!(peer.failures(), 1);
-        assert_eq!(peer.timeouts(), 0);
-        assert_eq!(peer.forwards(), 0);
-        assert_eq!(peer.breaker_state(), "closed", "one failure must not trip");
-    }
-
-    #[test]
-    fn breaker_opens_after_threshold_and_skips_connects() {
-        let peer = Peer::with_config(
+    /// A peer whose breaker trips after `threshold` failures and stays
+    /// open for `backoff` (zero: the next admission is the probe).
+    fn peer(threshold: u32, backoff: Duration) -> Peer {
+        Peer::with_config(
             "127.0.0.1:1",
             PeerConfig {
                 breaker: BreakerConfig {
-                    threshold: 3,
-                    backoff_base: Duration::from_secs(60),
-                    backoff_cap: Duration::from_secs(120),
+                    threshold,
+                    backoff_base: backoff,
+                    backoff_cap: backoff,
                 },
                 ..Default::default()
             },
-        );
-        for _ in 0..3 {
-            assert!(peer
-                .call("{\"cmd\":\"Ping\"}", Duration::from_secs(1))
-                .is_err());
+        )
+    }
+
+    #[test]
+    fn breaker_trips_at_the_threshold() {
+        let peer = peer(3, Duration::from_secs(60));
+        for failed in 1..=2 {
+            assert!(peer.try_admit());
+            peer.record_async_failure(false);
+            assert_eq!(peer.breaker_state(), "closed", "{failed} failures");
         }
+        assert!(peer.try_admit());
+        peer.record_async_failure(false);
         assert_eq!(peer.breaker_state(), "open");
+        assert_eq!(peer.breaker_gauge(), 2);
         assert_eq!(peer.failures(), 3);
-        // With a 60 s backoff the next calls are rejected without any
-        // connect attempt: the failure counter must not move.
-        let start = Instant::now();
+    }
+
+    #[test]
+    fn open_rejections_count_as_skips_not_failures() {
+        let peer = peer(1, Duration::from_secs(60));
+        peer.record_async_failure(false);
         for _ in 0..5 {
-            assert!(peer
-                .call("{\"cmd\":\"Ping\"}", Duration::from_secs(1))
-                .is_err());
+            assert!(!peer.try_admit(), "an open breaker admits nothing");
         }
-        assert!(
-            start.elapsed() < Duration::from_millis(200),
-            "open-breaker calls must be instant, took {:?}",
-            start.elapsed()
-        );
-        assert_eq!(peer.failures(), 3, "skipped calls are not failures");
         assert_eq!(peer.breaker_skips(), 5);
+        assert_eq!(peer.failures(), 1, "skipped forwards are not failures");
+        assert_eq!(peer.timeouts(), 0);
     }
 
     #[test]
-    fn breaker_recovers_through_half_open_probe() {
-        use std::net::TcpListener;
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let peer = Peer::with_config(
-            addr.to_string(),
-            PeerConfig {
-                breaker: BreakerConfig {
-                    threshold: 1,
-                    backoff_base: Duration::from_millis(1),
-                    backoff_cap: Duration::from_millis(2),
-                },
-                ..Default::default()
-            },
-        );
-        // Trip the breaker: nothing is accepting yet, and the listener's
-        // backlog is bypassed by dropping the pending connection.
-        drop(listener);
-        assert!(peer
-            .call("{\"cmd\":\"Ping\"}", Duration::from_secs(1))
-            .is_err());
+    fn only_one_half_open_probe_passes() {
+        let peer = peer(1, Duration::ZERO);
+        peer.record_async_failure(false);
         assert_eq!(peer.breaker_state(), "open");
-        // Bring the peer back on the same port.
-        let listener = TcpListener::bind(addr).expect("rebind");
-        let server = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().expect("accept");
-            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-            let mut stream = stream;
-            let mut line = String::new();
-            reader.read_line(&mut line).expect("read");
-            writeln!(
-                stream,
-                "{{\"id\":1,\"status\":\"ok\",\"result\":null,\"error\":null,\
-                 \"meta\":{{\"cache_hit\":false,\"solver\":null,\
-                 \"exact_complete\":null,\"elapsed_us\":1,\"node\":null}}}}"
-            )
-            .expect("write");
-        });
-        // Wait out the (tiny) open delay, then probe: success closes.
-        std::thread::sleep(Duration::from_millis(10));
-        let lines = peer
-            .call("{\"cmd\":\"Ping\"}", Duration::from_secs(5))
-            .expect("probe succeeds");
-        assert_eq!(lines.len(), 1);
+        assert!(peer.try_admit(), "the expired delay admits the probe");
+        assert_eq!(peer.breaker_state(), "half-open");
+        assert_eq!(peer.breaker_gauge(), 1);
+        assert!(!peer.try_admit(), "a second forward waits for the probe");
+        assert_eq!(peer.breaker_skips(), 1);
+        // A failed probe re-opens at once, whatever the threshold.
+        peer.record_async_failure(true);
+        assert_eq!(peer.breaker_state(), "open");
+    }
+
+    #[test]
+    fn a_successful_probe_recloses_the_breaker() {
+        let peer = peer(1, Duration::ZERO);
+        peer.record_async_failure(false);
+        assert!(peer.try_admit());
+        peer.record_async_success();
         assert_eq!(peer.breaker_state(), "closed");
-        server.join().expect("server thread");
-    }
-
-    #[test]
-    fn call_roundtrips_and_reuses_the_connection() {
-        use std::net::TcpListener;
-        // A tiny hand-rolled echo server answering one ok-line per line.
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let server = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().expect("accept");
-            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-            let mut stream = stream;
-            for _ in 0..2 {
-                let mut line = String::new();
-                reader.read_line(&mut line).expect("read");
-                writeln!(
-                    stream,
-                    "{{\"id\":1,\"status\":\"ok\",\"result\":null,\"error\":null,\
-                     \"meta\":{{\"cache_hit\":false,\"solver\":null,\
-                     \"exact_complete\":null,\"elapsed_us\":1,\"node\":null}}}}"
-                )
-                .expect("write");
-            }
-            // Count distinct connections: exactly one accept handled both
-            // calls, so reaching here twice proves pooling.
-        });
-        let peer = Peer::new(addr.to_string());
-        for _ in 0..2 {
-            let lines = peer
-                .call("{\"cmd\":\"Ping\"}", Duration::from_secs(5))
-                .expect("call");
-            assert_eq!(lines.len(), 1);
-            assert!(lines[0].contains("\"status\":\"ok\""), "{}", lines[0]);
+        assert_eq!(peer.breaker_gauge(), 0);
+        assert_eq!(peer.forwards(), 1);
+        for _ in 0..3 {
+            assert!(peer.try_admit(), "a closed breaker admits everything");
         }
-        assert_eq!(peer.forwards(), 2);
-        server.join().expect("server thread");
     }
 
     #[test]
-    fn corrupt_response_line_is_an_error_not_a_relay() {
-        use std::net::TcpListener;
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let server = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().expect("accept");
-            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-            let mut stream = stream;
-            let mut line = String::new();
-            reader.read_line(&mut line).expect("read");
-            writeln!(stream, "!!corrupted-bytes!!").expect("write");
-        });
-        let peer = Peer::new(addr.to_string());
-        let err = peer
-            .call("{\"cmd\":\"Ping\"}", Duration::from_secs(5))
-            .expect_err("garbage must not be relayed");
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert_eq!(peer.failures(), 1);
-        server.join().expect("server thread");
+    fn failures_and_timeouts_are_counted_apart() {
+        let peer = peer(3, Duration::from_secs(60));
+        peer.record_async_failure(true);
+        assert_eq!((peer.failures(), peer.timeouts()), (0, 1));
+        peer.record_async_failure(false);
+        assert_eq!((peer.failures(), peer.timeouts()), (1, 1));
+        assert_eq!(peer.breaker_state(), "closed", "two failures must not trip");
+        // Both kinds feed one streak: the third trips the breaker.
+        peer.record_async_failure(true);
+        assert_eq!(peer.breaker_state(), "open");
+        assert_eq!(peer.forwards(), 0);
     }
 }

@@ -14,10 +14,14 @@
 //!   disconnected — it cannot stall the loop or other clients).
 //! * **Workers** solve. A worker that picks up a request owned by a peer
 //!   converts it into an [`AsyncForward`] and hands it straight back to
-//!   the reactor ([`WorkerPool::set_forward_sink`]) — the forward then
-//!   lives in the event thread's **pending-forward table** as a
-//!   nonblocking continuation (connect → write → read → failover walk)
-//!   instead of occupying a worker or reader thread for its round trip.
+//!   the reactor (the sink installed with
+//!   [`Router::set_forward_sink`](crate::router::Router::set_forward_sink))
+//!   — the forward then lives in the event thread's **pending-forward
+//!   table** as a nonblocking continuation (connect → write → read →
+//!   failover walk) instead of occupying a thread for its round trip.
+//!   The table is the node's only way out: traced forwards record their
+//!   entry-side spans from it, and replica `CacheFill` pushes ride it as
+//!   fire-and-forget forwards.
 //! * **Hop executors** answer peer-forwarded (`hop`) requests on their
 //!   own small thread set. Hopped work is always local and never blocks
 //!   on another node, but it must not share the solve pool: two
@@ -487,7 +491,7 @@ impl Reactor {
             prom_metrics.render_prometheus(out);
         }));
         let sink_ctx = Arc::downgrade(&ctx);
-        pool.set_forward_sink(Box::new(move |forward| {
+        pool.router().set_forward_sink(Box::new(move |forward| {
             if let Some(ctx) = sink_ctx.upgrade() {
                 ctx.dispatch(Msg::Forward(Box::new(forward)));
             }
@@ -832,8 +836,8 @@ struct ForwardState {
     attempt: u64,
     phase: FwdPhase,
     /// Response lines received so far in this attempt (streamed `part`
-    /// lines buffer here until the terminal line arrives — failover
-    /// restarts cleanly, exactly like the synchronous path).
+    /// lines buffer here until the terminal line arrives, so a failover
+    /// restarts cleanly and the client never sees a half answer).
     lines: Vec<String>,
     got_bytes: bool,
     pooled: bool,
@@ -859,6 +863,18 @@ impl ForwardState {
             .cancel
             .as_ref()
             .is_some_and(CancelHandle::is_cancelled)
+    }
+
+    /// Gives up on the owner at `rank` and moves on to the next one.
+    fn abandon_owner(&mut self) {
+        let owner = &self.fwd.owners[self.rank];
+        if let Some(trace) = &mut self.fwd.trace {
+            trace.failover(owner);
+        }
+        if self.rank + 1 < self.fwd.owners.len() {
+            self.fwd.router.note_failover();
+        }
+        self.rank += 1;
     }
 }
 
@@ -1418,7 +1434,7 @@ impl EventThread {
     /// Walks the owner list from `st.rank`: a self-entry answers
     /// locally, a missing client is skipped, a breaker-open peer counts
     /// a failover, a live peer gets a pooled or fresh socket. Exhausting
-    /// the list degrades to the local fallback solve.
+    /// the list degrades to the local fallback solve (a fill is dropped).
     fn start_attempt(&mut self, id: u64, mut st: ForwardState) {
         if st.cancelled() {
             self.finish_forward(st);
@@ -1429,7 +1445,9 @@ impl EventThread {
                 // Every owner unreachable: degrade to local solving. The
                 // answer is byte-identical (same solver, same determinism
                 // seed) — only cache placement degrades.
-                st.fwd.router.note_fallback();
+                if st.fwd.original_line.is_some() {
+                    st.fwd.router.note_fallback();
+                }
                 self.submit_local(st);
                 return;
             };
@@ -1446,39 +1464,53 @@ impl EventThread {
                 st.rank += 1;
                 continue;
             };
+            if let Some(trace) = &mut st.fwd.trace {
+                st.fwd.hopped_line = trace.attempt(st.fwd.router.node_id(), &owner);
+            }
             if !peer.try_admit() {
                 // Breaker open: abandon this owner like a failed call.
-                if st.rank + 1 < st.fwd.owners.len() {
-                    st.fwd.router.note_failover();
+                if let Some(trace) = &st.fwd.trace {
+                    trace.mark("peer.breaker_open", "peer", &owner);
                 }
-                st.rank += 1;
+                st.abandon_owner();
                 continue;
             }
             st.lines.clear();
             st.got_bytes = false;
             st.attempt += 1;
-            if let Some(stream) = peer.take_idle_nonblocking() {
+            st.retried_stale = false;
+            if let Some(trace) = &mut st.fwd.trace {
+                trace.step("peer.connect");
+            }
+            self.arm_forward_deadline(id, &st);
+            if let Some(stream) = peer.take_idle() {
                 st.pooled = true;
-                st.retried_stale = false;
-                st.phase = FwdPhase::Active {
-                    stream,
-                    out: hopped_bytes(&st.fwd.hopped_line),
-                    pos: 0,
-                    inbuf: LineBuf::default(),
-                };
-                self.arm_forward_deadline(id, &st);
-                self.forwards.insert(id, st);
-                // The socket is almost certainly writable right now.
-                self.advance_forward(id);
+                self.begin_exchange(id, st, stream);
             } else {
                 st.pooled = false;
-                st.retried_stale = false;
                 self.spawn_checkout(id, st.attempt, peer);
-                self.arm_forward_deadline(id, &st);
                 self.forwards.insert(id, st);
             }
             return;
         }
+    }
+
+    /// The attempt has its socket: closes the `peer.connect` step and
+    /// starts writing the hopped line.
+    fn begin_exchange(&mut self, id: u64, mut st: ForwardState, stream: TcpStream) {
+        if let Some(trace) = &mut st.fwd.trace {
+            trace.end_step(&[("pooled", st.pooled.to_string()), ("ok", "true".to_owned())]);
+            trace.step("peer.roundtrip");
+        }
+        st.phase = FwdPhase::Active {
+            stream,
+            out: hopped_bytes(&st.fwd.hopped_line),
+            pos: 0,
+            inbuf: LineBuf::default(),
+        };
+        self.forwards.insert(id, st);
+        // The socket is almost certainly writable right now.
+        self.advance_forward(id);
     }
 
     /// Fresh connects block (bounded by the peer's connect timeout), so
@@ -1490,7 +1522,7 @@ impl EventThread {
         std::thread::Builder::new()
             .name("rpwf-fwd-connect".into())
             .spawn(move || {
-                let result = peer.connect_nonblocking();
+                let result = peer.connect();
                 inbox.push(Msg::Checkout {
                     fwd: id,
                     attempt,
@@ -1502,7 +1534,7 @@ impl EventThread {
     }
 
     fn on_checkout(&mut self, fwd: u64, attempt: u64, result: std::io::Result<TcpStream>) {
-        let Some(mut st) = self.forwards.remove(&fwd) else {
+        let Some(st) = self.forwards.remove(&fwd) else {
             return; // Forward already settled; drop the late socket.
         };
         if st.attempt != attempt || !matches!(st.phase, FwdPhase::Connecting) {
@@ -1514,16 +1546,7 @@ impl EventThread {
             return;
         }
         match result {
-            Ok(stream) => {
-                st.phase = FwdPhase::Active {
-                    stream,
-                    out: hopped_bytes(&st.fwd.hopped_line),
-                    pos: 0,
-                    inbuf: LineBuf::default(),
-                };
-                self.forwards.insert(fwd, st);
-                self.advance_forward(fwd);
-            }
+            Ok(stream) => self.begin_exchange(fwd, st, stream),
             Err(e) => self.forward_attempt_failed(fwd, st, &e),
         }
     }
@@ -1540,8 +1563,8 @@ impl EventThread {
             FwdIo::Pending { progressed } => {
                 if progressed {
                     // A `part` line arrived: the peer is alive, so the
-                    // response clock restarts (the synchronous path's
-                    // per-read timeout has the same per-line semantics).
+                    // response clock restarts (the read bound is per
+                    // line, not per answer).
                     st.attempt += 1;
                     self.arm_forward_deadline(id, &st);
                 }
@@ -1560,11 +1583,14 @@ impl EventThread {
                 std::mem::replace(&mut st.phase, FwdPhase::Connecting)
             {
                 if inbuf.pending() == 0 {
-                    peer.park_nonblocking(stream);
+                    peer.park(stream);
                 }
                 // Trailing bytes past the terminal line would poison the
                 // pool; drop the socket instead.
             }
+        }
+        if let Some(trace) = st.fwd.trace.take() {
+            trace.finish(&st.fwd.router, &mut st.lines);
         }
         for line in std::mem::take(&mut st.lines) {
             (st.fwd.respond)(line);
@@ -1580,6 +1606,11 @@ impl EventThread {
             // A parked connection the peer closed while it idled: not a
             // peer failure. Retry once on a fresh socket before judging.
             if let Some(peer) = peer {
+                if let Some(trace) = &mut st.fwd.trace {
+                    trace.end_step(&[("ok", "false".to_owned())]);
+                    trace.mark("peer.retry", "reason", "stale-pooled-connection");
+                    trace.step("peer.connect");
+                }
                 st.retried_stale = true;
                 st.pooled = false;
                 st.lines.clear();
@@ -1594,26 +1625,25 @@ impl EventThread {
         if let Some(peer) = peer {
             peer.record_async_failure(timeout);
         }
-        if st.rank + 1 < st.fwd.owners.len() {
-            st.fwd.router.note_failover();
-        }
-        st.rank += 1;
+        st.abandon_owner();
         st.phase = FwdPhase::Connecting;
         self.start_attempt(id, st);
     }
 
     /// Hands the request to the solve pool for local handling (the
     /// replica and fallback exits of the owner walk). `local: true`
-    /// pins it against re-entering the forward path.
+    /// pins it against re-entering the forward path. A fill has no local
+    /// answer and just ends.
     fn submit_local(&mut self, mut st: ForwardState) {
-        let job = Job {
-            line: std::mem::take(&mut st.fwd.original_line),
-            received: st.fwd.received,
-            respond: std::mem::replace(&mut st.fwd.respond, Box::new(|_| {})),
-            cancel: st.fwd.cancel.take(),
-            local: true,
-        };
-        self.ctx.pool.submit_job(job);
+        if let Some(line) = st.fwd.original_line.take() {
+            self.ctx.pool.submit_job(Job {
+                line,
+                received: st.fwd.received,
+                respond: std::mem::replace(&mut st.fwd.respond, Box::new(|_| {})),
+                cancel: st.fwd.cancel.take(),
+                local: true,
+            });
+        }
         self.finish_forward(st);
     }
 
@@ -1745,12 +1775,15 @@ fn hopped_bytes(line: &str) -> Vec<u8> {
 }
 
 /// Envelope sniff: is this line plausibly one of the expensive,
-/// sheddable solve commands (`Solve` / `Pareto` / `Simulate`)? Cheap
-/// commands (`Ping`, `Stats`, `Metrics`, `Ring`, …) are always admitted
-/// so monitoring keeps working under overload; a false positive merely
-/// runs one cheap request through the admission gauges.
+/// sheddable solve commands (`Solve` / `Pareto` / `Simulate` /
+/// `Explain`, which can cost several front solves)? Cheap commands
+/// (`Ping`, `Stats`, `Metrics`, `Ring`, …) are always admitted so
+/// monitoring keeps working under overload; a false positive merely runs
+/// one cheap request through the admission gauges.
 fn is_solve_shaped(line: &str) -> bool {
-    line.contains("\"Solve\"") || line.contains("\"Pareto\"") || line.contains("\"Simulate\"")
+    ["\"Solve\"", "\"Pareto\"", "\"Simulate\"", "\"Explain\""]
+        .iter()
+        .any(|cmd| line.contains(cmd))
 }
 
 /// Extracts the non-negative integer following `key` in a JSON line

@@ -9,10 +9,15 @@
 //!   on the owning node of a consistent-hash ring
 //!   ([`rpwf_core::ring::HashRing`]) keyed by the canonical instance hash
 //!   ([`Command::route_key`]). Non-owned requests are transparently
-//!   forwarded to the owning peer over the ordinary JSON-lines protocol
-//!   through pooled connections ([`crate::peer::Peer`]); node-local
-//!   commands (`Ping`, `Gen`, `Stats`, `Metrics`, `Ring`) never leave the
-//!   entry node.
+//!   forwarded to the owning peer over the ordinary JSON-lines protocol;
+//!   node-local commands (`Ping`, `Gen`, `Stats`, `Metrics`, `Ring`) never
+//!   leave the entry node.
+//!
+//! A request or replica fill leaves a node one way only: as an
+//! [`AsyncForward`] handed to the reactor's pending-forward table, which
+//! walks the owner list over nonblocking sockets with the per-peer
+//! breakers and pools of [`crate::peer`]. A traced forward carries its
+//! entry-side trace along, so tracing never holds a worker.
 //!
 //! Fleet invariants:
 //!
@@ -36,7 +41,9 @@
 //!   the entry node solves locally (flagged in the `Ring`/`Metrics`
 //!   counters): answers stay correct, only cache placement degrades. The
 //!   per-peer circuit breaker ([`crate::peer`]) makes a dead peer cost
-//!   one connect timeout, not one per request.
+//!   one connect timeout, not one per request. A ring router no reactor
+//!   drives (every [`crate::Server::bind_ring`] starts one) answers
+//!   locally the same way.
 
 use crate::cache::CachedFront;
 use crate::peer::{Peer, PeerConfig};
@@ -48,7 +55,7 @@ use rpwf_core::budget::CancelHandle;
 use rpwf_core::platform::Platform;
 use rpwf_core::ring::{HashRing, DEFAULT_VNODES};
 use rpwf_core::stage::Pipeline;
-use rpwf_core::trace::{Trace, TraceId};
+use rpwf_core::trace::{SpanHandle, Trace, TraceId};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
@@ -61,12 +68,12 @@ const FORWARD_GRACE: Duration = Duration::from_secs(2);
 
 /// Read-timeout watchdog for forwarded requests without a deadline: long
 /// enough for any realistic solve, short enough that a wedged peer
-/// eventually frees the worker (which then answers locally). Overridable
-/// per deployment via [`RingOptions::peer_read`].
+/// eventually lets the forward fail over (or answer locally).
+/// Overridable per deployment via [`RingOptions::peer_read`].
 const FORWARD_WATCHDOG: Duration = Duration::from_secs(600);
 
-/// Read timeout for background `CacheFill` pushes: generous for a pure
-/// cache insert, bounded so a wedged replica cannot pin fill threads.
+/// Read timeout for `CacheFill` pushes: generous for a pure cache insert,
+/// bounded so a wedged replica cannot keep fills pending forever.
 const CACHE_FILL_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Default replication factor: every front lives on its primary owner
@@ -117,15 +124,11 @@ pub trait Router: Send + Sync {
         false
     }
 
-    /// `true` when the transport should execute this request line inline
-    /// on its connection reader thread instead of queueing it on the
-    /// worker pool. Fleet routers claim **hopped** (peer-forwarded)
-    /// requests: if forwarded work competed for the same bounded worker
-    /// pools that block on forwarding, two nodes saturated with
-    /// cross-traffic could deadlock — every worker of each waiting on a
-    /// hopped job queued behind every worker of the other. Inline
-    /// execution keeps forwarded work on the (per-peer-connection)
-    /// reader threads, so a `Peer::call` always completes.
+    /// `true` when the transport should run this request line on its hop
+    /// lane instead of queueing it on the worker pool. Fleet routers
+    /// claim **hopped** (peer-forwarded) requests: they were admitted at
+    /// their entry node and are always answered locally, so they skip
+    /// this node's admission and solve queue.
     fn handles_inline(&self, _line: &str) -> bool {
         false
     }
@@ -140,22 +143,28 @@ pub trait Router: Send + Sync {
         emit: &mut dyn FnMut(String),
     );
 
-    /// Attempts to convert a queued job into a nonblocking peer forward
-    /// for the reactor to drive ([`AsyncForward`]). `Err` returns the job
-    /// untouched for ordinary (possibly blocking) handling — the default
-    /// for local routers, and the fleet router's answer for hops, traced
-    /// requests (whose entry-side span merging stays on the worker), and
-    /// locally owned keys.
+    /// Attempts to convert a queued job into a peer forward for the
+    /// reactor to drive. `Err` returns the job untouched for local
+    /// handling — the default for local routers, and the fleet router's
+    /// answer for hops, locally answered commands and keys, malformed
+    /// lines, and every line when no reactor drives it.
     fn prepare_async_forward(&self, job: Job) -> Result<AsyncForward, Job> {
         Err(job)
     }
+
+    /// Installs the reactor's pending-forward table as the way every
+    /// forward and replica fill leaves this node (first caller wins; a
+    /// no-op for routers that never forward).
+    fn set_forward_sink(&self, _sink: ForwardSink) {}
 }
 
-/// A worker-prepared peer forward, executed by the reactor as a
-/// nonblocking continuation: the hopped request line, the owner list to
-/// walk (primary first), and the response consumer — everything the
-/// pending-forward table needs to run the failover state machine without
-/// occupying a worker or reader thread.
+/// The reactor's intake for [`AsyncForward`]s.
+pub type ForwardSink = Box<dyn Fn(AsyncForward) + Send + Sync>;
+
+/// One peer forward, driven by the reactor as a nonblocking continuation:
+/// the hopped request line, the owner list to walk (primary first), and
+/// the response consumer — everything the pending-forward table needs to
+/// run the failover state machine without occupying a thread.
 pub struct AsyncForward {
     /// The fleet router that prepared this forward (peer clients,
     /// failover counters, node identity).
@@ -163,13 +172,15 @@ pub struct AsyncForward {
     /// Owner list, primary first (this node may appear as a non-primary
     /// replica — the machine answers locally at that rank).
     pub(crate) owners: Vec<String>,
-    /// The request re-serialized with the `hop` loop guard set.
+    /// The request re-serialized with the `hop` loop guard set (a traced
+    /// forward rewrites it per attempt, see [`ForwardTrace::attempt`]).
     pub(crate) hopped_line: String,
-    /// The original line, for the local fallback when every owner is
-    /// unreachable.
-    pub(crate) original_line: String,
+    /// The original line, answered locally when this node is the owner
+    /// at the current rank or every owner is unreachable. `None` for a
+    /// replica fill, which has no local answer and is simply dropped.
+    pub(crate) original_line: Option<String>,
     /// Per-attempt response wait (remaining deadline plus shipping grace,
-    /// or the deployment watchdog).
+    /// the deployment watchdog, or a fill's [`CACHE_FILL_TIMEOUT`]).
     pub(crate) read_timeout: Duration,
     /// Receipt instant of the underlying request.
     pub(crate) received: Instant,
@@ -177,6 +188,150 @@ pub struct AsyncForward {
     pub(crate) cancel: Option<CancelHandle>,
     /// Response consumer (one call per response line, in order).
     pub(crate) respond: Box<dyn FnMut(String) + Send>,
+    /// The entry-side trace of a traced request.
+    pub(crate) trace: Option<Box<ForwardTrace>>,
+}
+
+impl AsyncForward {
+    /// Hands the forward to the reactor that drives its router. Forwards
+    /// are only built once a reactor installed its sink; without one the
+    /// dropped forward's respond closure still settles its connection.
+    pub(crate) fn send(self) {
+        let router = Arc::clone(&self.router);
+        if let Some(sink) = router.forward_sink.get() {
+            sink(self);
+        }
+    }
+}
+
+/// The entry node's side of a traced forward: the `request` root with
+/// its `decode` and `route` spans, then per owner attempt a
+/// `peer.forward` span (`from`, `to`) holding that attempt's
+/// `peer.connect` and `peer.roundtrip` steps and any `peer.breaker_open`
+/// or `peer.retry` marks. An abandoned attempt adds a `peer.failover`
+/// span naming the owner. The answering owner collects its own spans
+/// under the same trace id, parented at the attempt's forward span, and
+/// [`finish`](Self::finish) grafts them there.
+pub(crate) struct ForwardTrace {
+    trace: Trace,
+    root: SpanHandle,
+    /// The hopped request; every attempt re-serializes it with a
+    /// [`TraceContext`] naming its own forward span.
+    hopped: Request,
+    /// The current attempt's `peer.forward` span.
+    forward: Option<SpanHandle>,
+    /// The current attempt's open `peer.connect` or `peer.roundtrip`.
+    step: Option<SpanHandle>,
+}
+
+impl ForwardTrace {
+    /// Opens the entry-side trace of `hopped` (already hop-flagged),
+    /// received at `received` by `node` and routed to `owner`.
+    fn begin(hopped: Request, node: &str, owner: &str, received: Instant) -> Self {
+        let id = hopped
+            .trace_ctx
+            .map_or_else(TraceId::next, |ctx| TraceId(ctx.id));
+        let trace = Trace::new(id, received);
+        let root = trace.begin_root("request");
+        trace.attr(root.index(), "cmd", hopped.cmd.name());
+        trace.attr(root.index(), "node", node);
+        trace.attr(root.index(), "role", "entry");
+        trace.add(
+            "decode",
+            Some(root.index()),
+            0,
+            trace.elapsed_us(),
+            Vec::new(),
+        );
+        trace.add(
+            "route",
+            Some(root.index()),
+            trace.elapsed_us(),
+            0,
+            vec![("owner".to_owned(), owner.to_owned())],
+        );
+        ForwardTrace {
+            trace,
+            root,
+            hopped,
+            forward: None,
+            step: None,
+        }
+    }
+
+    /// Opens the `peer.forward` span of an attempt on `to` and returns
+    /// the hopped line whose trace context points at it.
+    pub(crate) fn attempt(&mut self, from: &str, to: &str) -> String {
+        let span = self.trace.begin("peer.forward", Some(self.root.index()));
+        self.trace.attr(span.index(), "from", from);
+        self.trace.attr(span.index(), "to", to);
+        self.hopped.trace_ctx = Some(TraceContext {
+            id: self.trace.id().0,
+            parent: span.index(),
+        });
+        self.forward = Some(span);
+        serde_json::to_string(&self.hopped).expect("requests always serialize")
+    }
+
+    /// Opens a step (`peer.connect`, `peer.roundtrip`) of the attempt.
+    pub(crate) fn step(&mut self, name: &str) {
+        let parent = self.forward.as_ref().map(SpanHandle::index);
+        self.step = Some(self.trace.begin(name, parent));
+    }
+
+    /// Closes the open step, if any, with `attrs`.
+    pub(crate) fn end_step(&mut self, attrs: &[(&str, String)]) {
+        if let Some(step) = self.step.take() {
+            self.trace.end(&step);
+            for (key, value) in attrs {
+                self.trace.attr(step.index(), key, value.clone());
+            }
+        }
+    }
+
+    /// Records an instant event (`peer.breaker_open`, `peer.retry`) in
+    /// the attempt.
+    pub(crate) fn mark(&self, name: &str, key: &str, value: &str) {
+        self.trace.add(
+            name,
+            self.forward.as_ref().map(SpanHandle::index),
+            self.trace.elapsed_us(),
+            0,
+            vec![(key.to_owned(), value.to_owned())],
+        );
+    }
+
+    /// The attempt on `owner` was abandoned: closes its spans and records
+    /// the `peer.failover`.
+    pub(crate) fn failover(&mut self, owner: &str) {
+        self.end_step(&[("ok", "false".to_owned())]);
+        if let Some(forward) = self.forward.take() {
+            self.trace.end(&forward);
+        }
+        self.trace.add(
+            "peer.failover",
+            Some(self.root.index()),
+            self.trace.elapsed_us(),
+            0,
+            vec![("abandoned".to_owned(), owner.to_owned())],
+        );
+    }
+
+    /// The attempt answered with `lines`: closes the trace, grafts the
+    /// owner's subtree into the final line and logs the merged trace in
+    /// this node's slow-query ring.
+    pub(crate) fn finish(mut self, router: &RingRouter, lines: &mut [String]) {
+        self.end_step(&[
+            ("ok", "true".to_owned()),
+            ("lines", lines.len().to_string()),
+        ]);
+        let Some(forward) = self.forward.take() else {
+            return;
+        };
+        self.trace.end(&forward);
+        self.trace.end(&self.root);
+        router.merge_owner_trace(&self.trace, forward.index(), self.hopped.cmd.name(), lines);
+    }
 }
 
 /// Single-node routing: every request is answered by the local service.
@@ -221,12 +376,15 @@ pub struct RingRouter {
     /// Weak self-handle so [`Router::prepare_async_forward`] can hand the
     /// reactor an owning reference (set once at construction).
     self_ref: OnceLock<Weak<RingRouter>>,
+    /// The reactor's pending-forward table, once one drives this router.
+    forward_sink: OnceLock<ForwardSink>,
     /// Requests received with the `hop` flag (answered as the owner).
     hops_received: AtomicU64,
     /// Requests this node answered because it owns them (as primary, or
     /// as a surviving replica after a failover walked down to us).
     owned_served: AtomicU64,
-    /// Requests answered locally because every owning peer was down.
+    /// Requests answered locally because no owner was reachable (every
+    /// owning peer down, or no reactor to forward through).
     fallbacks: AtomicU64,
     /// Forward attempts abandoned for the next owner in the successor
     /// list (peer dead, wedged, or breaker-open).
@@ -234,27 +392,6 @@ pub struct RingRouter {
 }
 
 impl RingRouter {
-    /// Builds the fleet router with default [`RingOptions`] except for
-    /// `vnodes` — the pre-replication constructor, kept for callers that
-    /// only place the ring.
-    #[must_use]
-    pub fn new(
-        service: Arc<SolverService>,
-        node_id: impl Into<String>,
-        peers: &[String],
-        vnodes: Option<usize>,
-    ) -> Arc<Self> {
-        Self::with_options(
-            service,
-            node_id,
-            peers,
-            RingOptions {
-                vnodes,
-                ..RingOptions::default()
-            },
-        )
-    }
-
     /// Builds the fleet router: this node (`node_id`, the `host:port` the
     /// peers know it by) plus its `peers`, each hashed onto the ring with
     /// `options.vnodes` virtual nodes. Registers the ring introspection
@@ -296,6 +433,7 @@ impl RingRouter {
             replicas,
             peer_read: options.peer_read,
             self_ref: OnceLock::new(),
+            forward_sink: OnceLock::new(),
             hops_received: AtomicU64::new(0),
             owned_served: AtomicU64::new(0),
             fallbacks: AtomicU64::new(0),
@@ -380,15 +518,16 @@ impl RingRouter {
         }
     }
 
-    /// Pushes a locally solved complete front to the key's replica set.
+    /// Pushes a locally solved complete front to the key's replica set,
+    /// one fire-and-forget reactor forward per replica: the same breaker,
+    /// counters and stale-socket retry as a client forward, but the
+    /// answer is dropped, and a fill that fails is neither failed over
+    /// nor answered locally. Without a reactor nothing is pushed.
     ///
     /// Only the **primary** owner propagates, and the receiving side
     /// never re-fires the stored hook for a `CacheFill` write — both
     /// guards together keep replication loop-free even when two nodes'
-    /// ring views disagree during a membership change. The pushes run on
-    /// a detached thread: a dead replica must cost its connect timeout
-    /// there, not on the solve path (and its breaker makes repeat fills
-    /// nearly free).
+    /// ring views disagree during a membership change.
     fn replicate_front(
         self: &Arc<Self>,
         pipeline: &Pipeline,
@@ -397,24 +536,17 @@ impl RingRouter {
         entry: &CachedFront,
     ) {
         let owners = self.ring.owners(key, self.replicas);
-        if owners.first().copied() != Some(self.node_id.as_str()) {
-            return;
-        }
-        let targets: Vec<String> = owners
-            .into_iter()
-            .skip(1)
-            .filter(|owner| self.peers.contains_key(*owner))
-            .map(str::to_owned)
-            .collect();
-        if targets.is_empty() {
+        if owners.first().copied() != Some(self.node_id.as_str())
+            || self.forward_sink.get().is_none()
+        {
             return;
         }
         let request = Request {
             id: None,
             deadline_ms: None,
             no_cache: None,
-            // Hop-flagged: the replica answers inline and never re-routes
-            // (or re-replicates) the fill.
+            // Hop-flagged: the replica answers on its hop lane and never
+            // re-routes (or re-replicates) the fill.
             hop: Some(true),
             trace: None,
             trace_ctx: None,
@@ -429,149 +561,23 @@ impl RingRouter {
             },
         };
         let line = serde_json::to_string(&request).expect("requests always serialize");
-        let router = Arc::clone(self);
-        std::thread::spawn(move || {
-            for target in &targets {
-                if let Some(peer) = router.peers.get(target) {
-                    let _ = peer.call(&line, CACHE_FILL_TIMEOUT);
-                }
-            }
-        });
-    }
-
-    /// Forwards `request` down the `owners` list (primary first): the
-    /// first reachable owner answers; a candidate that is **this node**
-    /// answers locally (the surviving-replica path — warm when fills
-    /// landed); when every candidate is exhausted the entry node solves
-    /// locally.
-    ///
-    /// When the request opted into tracing, this node opens the
-    /// **entry-side** trace (root, decode, route spans), gives every
-    /// attempt its own `peer.forward` span (failed attempts additionally
-    /// record a `peer.failover` span naming the abandoned owner), ships a
-    /// [`TraceContext`] inside the hopped request so the answering owner
-    /// collects its spans under the same trace id, then grafts the
-    /// owner's subtree (returned on the final response's `meta.trace`)
-    /// under the successful forward span — the client receives one merged
-    /// trace and the entry node logs it in its own slow-query ring. On
-    /// total failure the local fallback starts a fresh trace: the
-    /// entry-side spans are lost with the failed calls (the fallback is
-    /// visible in the `Ring` counters instead).
-    fn forward(
-        &self,
-        owners: &[String],
-        request: Request,
-        received: Instant,
-        cancel: Option<&CancelHandle>,
-        emit: &mut dyn FnMut(String),
-    ) {
-        let mut trace = request.trace.unwrap_or(false).then(|| {
-            let id = request
-                .trace_ctx
-                .map_or_else(TraceId::next, |ctx| TraceId(ctx.id));
-            let trace = Trace::new(id, received);
-            let root = trace.begin_root("request");
-            trace.attr(root.index(), "cmd", request.cmd.name());
-            trace.attr(root.index(), "node", self.node_id.as_str());
-            trace.attr(root.index(), "role", "entry");
-            trace.add(
-                "decode",
-                Some(root.index()),
-                0,
-                trace.elapsed_us(),
-                Vec::new(),
-            );
-            trace.add(
-                "route",
-                Some(root.index()),
-                trace.elapsed_us(),
-                0,
-                vec![(
-                    "owner".to_owned(),
-                    owners.first().cloned().unwrap_or_default(),
-                )],
-            );
-            (trace, root)
-        });
-        let mut hopped = request.clone();
-        hopped.hop = Some(true);
-        // Bound the wait on each peer: the request's remaining deadline
-        // (plus shipping grace) when it has one, the (configurable)
-        // watchdog otherwise. On expiry the failover walks on; the local
-        // fallback path reports the proper structured timeout through its
-        // own budget check.
-        let read_timeout = match request.deadline_ms {
-            Some(ms) => {
-                (received + Duration::from_millis(ms)).saturating_duration_since(Instant::now())
-                    + FORWARD_GRACE
-            }
-            None => self.peer_read.unwrap_or(FORWARD_WATCHDOG),
-        };
-        for (rank, owner) in owners.iter().enumerate() {
-            if *owner == self.node_id {
-                // We are the surviving replica for this key: answer
-                // locally. Warm when the primary's fills landed; a fresh
-                // solve otherwise — correct either way.
-                self.owned_served.fetch_add(1, Ordering::Relaxed);
-                self.handle_local(request, received, cancel, emit);
-                return;
-            }
-            let Some(peer) = self.peers.get(owner) else {
-                // The ring names a node this router has no client for — a
-                // configuration mismatch; try the next owner.
+        for target in owners.into_iter().skip(1) {
+            if !self.peers.contains_key(target) {
                 continue;
-            };
-            let span = trace.as_ref().map(|(trace, root)| {
-                let span = trace.begin("peer.forward", Some(root.index()));
-                trace.attr(span.index(), "from", self.node_id.as_str());
-                trace.attr(span.index(), "to", owner.as_str());
-                span
-            });
-            if let (Some((trace, _)), Some(span)) = (&trace, &span) {
-                hopped.trace_ctx = Some(TraceContext {
-                    id: trace.id().0,
-                    parent: span.index(),
-                });
             }
-            let line = serde_json::to_string(&hopped).expect("requests always serialize");
-            let peer_scope = trace
-                .as_ref()
-                .zip(span.as_ref())
-                .map(|((trace, _), span)| rpwf_core::trace::TraceScope::new(trace, span.index()));
-            match peer.call_traced(&line, read_timeout, peer_scope) {
-                Ok(mut lines) => {
-                    if let (Some((trace, root)), Some(span)) = (trace.take(), span) {
-                        trace.end(&span);
-                        trace.end(&root);
-                        self.merge_owner_trace(&trace, span.index(), &request, &mut lines);
-                    }
-                    for line in lines {
-                        emit(line);
-                    }
-                    return;
-                }
-                Err(_) => {
-                    if let (Some((trace, root)), Some(span)) = (&trace, &span) {
-                        trace.end(span);
-                        trace.add(
-                            "peer.failover",
-                            Some(root.index()),
-                            trace.elapsed_us(),
-                            0,
-                            vec![("abandoned".to_owned(), owner.clone())],
-                        );
-                    }
-                    if rank + 1 < owners.len() {
-                        self.failovers.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
+            AsyncForward {
+                router: Arc::clone(self),
+                owners: vec![target.to_owned()],
+                hopped_line: line.clone(),
+                original_line: None,
+                read_timeout: CACHE_FILL_TIMEOUT,
+                received: Instant::now(),
+                cancel: None,
+                respond: Box::new(|_| {}),
+                trace: None,
             }
+            .send();
         }
-        // Every owner unreachable: degrade to local solving. The answer
-        // is byte-identical (same solver, same determinism seed) — only
-        // cache placement degrades until an owner returns.
-        self.fallbacks.fetch_add(1, Ordering::Relaxed);
-        self.handle_local(request, received, cancel, emit);
     }
 
     /// Rewrites the final forwarded response line so its `meta.trace`
@@ -579,13 +585,7 @@ impl RingRouter {
     /// in this node's slow-query ring. A final line without a parseable
     /// trace (owner predates tracing, or the response is malformed) is
     /// passed through untouched.
-    fn merge_owner_trace(
-        &self,
-        trace: &Trace,
-        forward_span: u32,
-        request: &Request,
-        lines: &mut [String],
-    ) {
+    fn merge_owner_trace(&self, trace: &Trace, forward_span: u32, cmd: &str, lines: &mut [String]) {
         let Some(last) = lines.last_mut() else { return };
         let Ok(mut resp) = serde_json::from_str::<Response>(last) else {
             return;
@@ -599,25 +599,12 @@ impl RingRouter {
         *last = resp.to_line();
         self.service.record_trace(TraceEntryOut {
             id: merged.id.0,
-            command: request.cmd.name().to_string(),
+            command: cmd.to_owned(),
             status: resp.status.clone(),
             elapsed_us: merged.root().map_or(0, |span| span.elapsed_us),
             node: Some(self.node_id.clone()),
             spans: merged,
         });
-    }
-
-    fn handle_local(
-        &self,
-        request: Request,
-        received: Instant,
-        cancel: Option<&CancelHandle>,
-        emit: &mut dyn FnMut(String),
-    ) {
-        self.service
-            .handle_request_into(request, received, cancel, &mut |resp| {
-                emit(resp.to_line());
-            });
     }
 
     /// The `Ring` introspection payload.
@@ -774,7 +761,7 @@ impl Router for RingRouter {
         // escaping means no legitimate payload can embed it. Skipping the
         // confirming parse keeps the owner's hot path at one deserialize
         // per forwarded request; a pathological false positive merely
-        // runs that request on the reader thread instead of the pool
+        // runs that request on the hop lane instead of the pool
         // (handle_line still routes it by its parsed content — correct
         // either way).
         line.contains("\"hop\":true")
@@ -797,42 +784,44 @@ impl Router for RingRouter {
             // Forwarded by a peer: we are an owner (by its ring view);
             // never re-forward.
             self.hops_received.fetch_add(1, Ordering::Relaxed);
-            self.handle_local(request, received, cancel, emit);
-            return;
-        }
-        let owners = self.owners_of(&request.cmd);
-        match owners.first() {
-            Some(primary) if *primary == self.node_id => {
-                self.owned_served.fetch_add(1, Ordering::Relaxed);
-                self.handle_local(request, received, cancel, emit);
+        } else {
+            match self.owners_of(&request.cmd).first() {
+                Some(primary) if *primary == self.node_id => self.note_owned_served(),
+                // A peer owns the key, but no reactor carries this node's
+                // forwards: answer locally, like an unreachable owner.
+                Some(_) => self.note_fallback(),
+                None => {}
             }
-            Some(_) => self.forward(&owners, request, received, cancel, emit),
-            None => self.handle_local(request, received, cancel, emit),
         }
+        self.service
+            .handle_request_into(request, received, cancel, &mut |resp| {
+                emit(resp.to_line());
+            });
     }
 
     fn prepare_async_forward(&self, job: Job) -> Result<AsyncForward, Job> {
         let Some(router) = self.self_ref.get().and_then(Weak::upgrade) else {
             return Err(job);
         };
-        let Ok(request) = serde_json::from_str::<Request>(job.line.trim()) else {
-            return Err(job); // malformed: the sync path renders the error
+        if self.forward_sink.get().is_none() {
+            return Err(job); // no reactor: `handle_line` answers locally
+        }
+        let Ok(mut request) = serde_json::from_str::<Request>(job.line.trim()) else {
+            return Err(job); // malformed: `handle_line` renders the error
         };
-        if request.hop.unwrap_or(false) || request.trace.unwrap_or(false) {
-            // Hops are answered locally; traced requests keep the
-            // blocking path, whose entry-side span bookkeeping (failover
-            // spans, owner-subtree grafting) lives on the worker.
-            return Err(job);
+        if request.hop.unwrap_or(false) {
+            return Err(job); // hops are answered locally
         }
         let owners = self.owners_of(&request.cmd);
         match owners.first() {
             Some(primary) if *primary != self.node_id => {}
             _ => return Err(job), // local command or locally owned key
         }
-        let mut hopped = request.clone();
-        hopped.hop = Some(true);
-        let hopped_line = serde_json::to_string(&hopped).expect("requests always serialize");
-        // Same wait bound as the synchronous `forward` path.
+        // Bound the wait on each owner: the request's remaining deadline
+        // (plus shipping grace) when it has one, the (configurable)
+        // watchdog otherwise. On expiry the failover walks on; the local
+        // fallback path reports the proper structured timeout through its
+        // own budget check.
         let read_timeout = match request.deadline_ms {
             Some(ms) => {
                 (job.received + Duration::from_millis(ms)).saturating_duration_since(Instant::now())
@@ -840,15 +829,28 @@ impl Router for RingRouter {
             }
             None => self.peer_read.unwrap_or(FORWARD_WATCHDOG),
         };
+        request.hop = Some(true);
+        let (hopped_line, trace) = if request.trace.unwrap_or(false) {
+            let trace = ForwardTrace::begin(request, &self.node_id, &owners[0], job.received);
+            (String::new(), Some(Box::new(trace)))
+        } else {
+            let line = serde_json::to_string(&request).expect("requests always serialize");
+            (line, None)
+        };
         Ok(AsyncForward {
             router,
             owners,
             hopped_line,
-            original_line: job.line,
+            original_line: Some(job.line),
             read_timeout,
             received: job.received,
             cancel: job.cancel,
             respond: job.respond,
+            trace,
         })
+    }
+
+    fn set_forward_sink(&self, sink: ForwardSink) {
+        let _ = self.forward_sink.set(sink);
     }
 }

@@ -141,28 +141,6 @@ impl Server {
         Self::bind_with_router_tuned(addr, router, faults, ServingOptions::default())
     }
 
-    /// Binds `addr`, dispatching every connection's requests through
-    /// `router`.
-    ///
-    /// # Errors
-    /// Propagates socket errors from binding.
-    pub fn bind_with_router(addr: &str, router: Arc<dyn Router>) -> std::io::Result<Server> {
-        Self::bind_with_router_faulted(addr, router, None)
-    }
-
-    /// [`bind_with_router`](Self::bind_with_router) with a scripted
-    /// [`FaultPlan`] injecting transport faults (see [`crate::fault`]).
-    ///
-    /// # Errors
-    /// Propagates socket errors from binding.
-    pub fn bind_with_router_faulted(
-        addr: &str,
-        router: Arc<dyn Router>,
-        faults: Option<Arc<FaultPlan>>,
-    ) -> std::io::Result<Server> {
-        Self::bind_with_router_tuned(addr, router, faults, ServingOptions::default())
-    }
-
     /// The fully explicit bind: router, fault plan, serving tuning.
     /// Everything else delegates here.
     ///

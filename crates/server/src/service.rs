@@ -18,7 +18,7 @@ use crate::protocol::{
     FrontPartResult, GenResult, Meta, ParetoPointOut, ParetoResult, Request, Response, RingResult,
     ServingStatsOut, SimulateResult, SolveResult, StatsResult, TraceEntryOut, TraceResult,
 };
-use crate::router::{AsyncForward, LocalRouter, Router};
+use crate::router::{LocalRouter, Router};
 use crossbeam::channel::{self, Sender};
 use rpwf_algo::engine::{Answer, Engine, SolveRequest, Want};
 use rpwf_algo::explain::{self, FrontOracle, OracleFront};
@@ -95,11 +95,6 @@ type MetricsExtension = Box<dyn Fn(&mut String) + Send + Sync>;
 /// (installed by the reactor transport; absent on stdin/in-process
 /// services, which have no serving plane to report).
 type ServingReporter = Box<dyn Fn() -> ServingStatsOut + Send + Sync>;
-
-/// Reactor hook on the [`WorkerPool`]: receives a worker-prepared
-/// [`AsyncForward`] so the peer roundtrip runs as a nonblocking
-/// continuation on the reactor instead of pinning the worker.
-type ForwardSink = Box<dyn Fn(AsyncForward) + Send + Sync>;
 
 /// Fleet hook: called after a **locally solved, complete** front lands in
 /// the cache, so the fleet layer can replicate it to the key's ring
@@ -1720,22 +1715,21 @@ pub struct Job {
     /// Cancellation handle; firing it aborts the solve mid-flight.
     pub cancel: Option<CancelHandle>,
     /// Forces local handling, bypassing the router's placement: set by
-    /// the reactor's async-forward machinery when every owning peer is
-    /// unreachable (the fallback solve) — re-routing would just re-enter
-    /// the forward path it came from.
+    /// the reactor's forward machine when this node answers as a
+    /// surviving owner or every owning peer is unreachable (the fallback
+    /// solve) — re-routing would just re-enter the forward it came from.
     pub local: bool,
 }
 
 /// A fixed pool of solver workers fed by an MPMC channel. Every job goes
 /// through the pool's [`Router`] — single-node pools route everything to
-/// the local service ([`LocalRouter`]); fleet pools place each request on
-/// the ring's owning node.
+/// the local service ([`LocalRouter`]); fleet pools hand each request a
+/// peer owns to the reactor as a forward and answer the rest.
 pub struct WorkerPool {
     router: Arc<dyn Router>,
     tx: Option<Sender<Job>>,
     workers: Vec<JoinHandle<()>>,
     admission: Arc<Admission>,
-    forward_sink: Arc<OnceLock<ForwardSink>>,
 }
 
 impl WorkerPool {
@@ -1743,19 +1737,17 @@ impl WorkerPool {
     /// everything to `service` (single-node behavior).
     #[must_use]
     pub fn new(service: Arc<SolverService>) -> Self {
-        Self::with_router(Arc::new(LocalRouter::new(service)))
+        Self::with_options(
+            Arc::new(LocalRouter::new(service)),
+            &ServingOptions::default(),
+        )
     }
 
-    /// Spawns a pool whose workers route jobs through `router`.
-    #[must_use]
-    pub fn with_router(router: Arc<dyn Router>) -> Self {
-        Self::with_options(router, &ServingOptions::default())
-    }
-
-    /// [`with_router`](Self::with_router) with explicit serving-plane
-    /// tuning — the queue bound and default admission deadline feed the
-    /// pool's `Admission` controller (consulted by the reactor
-    /// transport; direct `submit` callers are never shed).
+    /// Spawns a pool whose workers route jobs through `router`, with
+    /// explicit serving-plane tuning — the queue bound and default
+    /// admission deadline feed the pool's `Admission` controller
+    /// (consulted by the reactor transport; direct `submit` callers are
+    /// never shed).
     #[must_use]
     pub fn with_options(router: Arc<dyn Router>, options: &ServingOptions) -> Self {
         let count = router.service().config().effective_workers().max(1);
@@ -1764,30 +1756,27 @@ impl WorkerPool {
             count,
             options.admission_deadline,
         ));
-        let forward_sink: Arc<OnceLock<ForwardSink>> = Arc::new(OnceLock::new());
         let (tx, rx) = channel::unbounded::<Job>();
         let workers = (0..count)
             .map(|i| {
                 let rx = rx.clone();
                 let router = Arc::clone(&router);
                 let admission = Arc::clone(&admission);
-                let forward_sink = Arc::clone(&forward_sink);
                 std::thread::Builder::new()
                     .name(format!("rpwf-worker-{i}"))
                     .spawn(move || {
                         while let Ok(job) = rx.recv() {
                             admission.on_dequeue();
                             let start = Instant::now();
-                            let mut job = if job.local || forward_sink.get().is_none() {
+                            // A request a peer owns becomes a nonblocking
+                            // reactor continuation instead of pinning this
+                            // worker for a network roundtrip.
+                            let mut job = if job.local {
                                 job
                             } else {
-                                // Reactor attached: a request owned by a
-                                // reachable peer becomes a nonblocking
-                                // continuation instead of pinning this
-                                // worker for a network roundtrip.
                                 match router.prepare_async_forward(job) {
                                     Ok(forward) => {
-                                        (forward_sink.get().expect("checked above"))(forward);
+                                        forward.send();
                                         admission.on_complete(start.elapsed().as_micros() as u64);
                                         continue;
                                     }
@@ -1820,7 +1809,6 @@ impl WorkerPool {
             tx: Some(tx),
             workers,
             admission,
-            forward_sink,
         }
     }
 
@@ -1828,13 +1816,6 @@ impl WorkerPool {
     /// consults it before enqueueing and reports its counters).
     pub(crate) fn admission(&self) -> &Arc<Admission> {
         &self.admission
-    }
-
-    /// Installs the reactor's async-forward sink (first caller wins).
-    /// Until one is installed, workers forward synchronously — the
-    /// pre-reactor behavior every non-TCP entry point keeps.
-    pub(crate) fn set_forward_sink(&self, sink: ForwardSink) {
-        let _ = self.forward_sink.set(sink);
     }
 
     /// Enqueues a fully built [`Job`], keeping the admission queue-depth
@@ -1866,25 +1847,11 @@ impl WorkerPool {
     /// Enqueues a request line; each response line is passed to `respond`
     /// on a worker thread, in order.
     pub fn submit(&self, line: String, received: Instant, respond: Box<dyn FnMut(String) + Send>) {
-        self.submit_cancellable(line, received, respond, None);
-    }
-
-    /// [`submit`](Self::submit) with a cancellation handle linked into
-    /// the request budget — the TCP transport passes its per-connection
-    /// handle here so a client disconnect aborts the connection's
-    /// in-flight work.
-    pub fn submit_cancellable(
-        &self,
-        line: String,
-        received: Instant,
-        respond: Box<dyn FnMut(String) + Send>,
-        cancel: Option<CancelHandle>,
-    ) {
         self.submit_job(Job {
             line,
             received,
             respond,
-            cancel,
+            cancel: None,
             local: false,
         });
     }

@@ -55,6 +55,27 @@ fn heavy_pareto_line(id: u64, deadline_ms: Option<u64>) -> String {
     )
 }
 
+/// An explanation over the same kind of instance: its oracle runs
+/// several front solves, so it is as sheddable as the solve itself.
+fn heavy_explain_line(id: u64, deadline_ms: Option<u64>) -> String {
+    let inst = rpwf_gen::make_instance(
+        PlatformClass::CommHomogeneous,
+        FailureClass::Heterogeneous,
+        18,
+        14,
+        id,
+    );
+    request_line(
+        id,
+        deadline_ms,
+        Command::Explain {
+            pipeline: inst.pipeline,
+            platform: inst.platform,
+            objective: rpwf_algo::Objective::MinFpUnderLatency(1.0),
+        },
+    )
+}
+
 fn stats_over(stream: &TcpStream, reader: &mut BufReader<TcpStream>) -> StatsResult {
     let mut w = stream.try_clone().expect("clone");
     writeln!(w, "{}", request_line(9_999, None, Command::Stats)).expect("send");
@@ -324,7 +345,12 @@ fn overload_sheds_fast_with_retry_hint() {
     let mut shed = 0;
     for id in 10..30 {
         let started = Instant::now();
-        writeln!(sw, "{}", heavy_pareto_line(id, Some(2_000))).expect("send");
+        let line = if id % 2 == 0 {
+            heavy_pareto_line(id, Some(2_000))
+        } else {
+            heavy_explain_line(id, Some(2_000))
+        };
+        writeln!(sw, "{line}").expect("send");
         let resp = read_response(&mut burst_reader);
         assert_eq!(resp.status, "error");
         let err = resp.error.expect("error payload");

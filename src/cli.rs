@@ -506,6 +506,27 @@ fn provenance_label(provenance: Option<Provenance>) -> &'static str {
     }
 }
 
+/// A blocking one-shot exchange with an `rpwf serve` node: sends one
+/// request line to `addr` and returns the one response line, waiting at
+/// most `timeout` for it.
+fn roundtrip(
+    addr: &str,
+    line: &str,
+    timeout: std::time::Duration,
+) -> std::result::Result<String, String> {
+    use std::io::{BufRead, Write};
+    let fail = |e: std::io::Error| format!("{addr}: {e}");
+    let mut stream = std::net::TcpStream::connect(addr).map_err(fail)?;
+    stream.set_read_timeout(Some(timeout)).map_err(fail)?;
+    writeln!(stream, "{line}").map_err(fail)?;
+    let mut response = String::new();
+    match std::io::BufReader::new(stream).read_line(&mut response) {
+        Ok(0) => Err(format!("{addr}: empty response")),
+        Ok(_) => Ok(response),
+        Err(e) => Err(fail(e)),
+    }
+}
+
 /// Executes a parsed command against the filesystem, returning stdout text.
 ///
 /// `Serve` with a TCP address never returns here — the binary handles it
@@ -555,15 +576,9 @@ pub fn run(command: &Command) -> std::result::Result<String, String> {
                 cmd: WireCommand::Trace { limit: *limit },
             };
             let line = serde_json::to_string(&request).expect("requests always serialize");
-            let peer = rpwf_server::peer::Peer::new(addr.clone());
-            let lines = peer
-                .call(&line, std::time::Duration::from_secs(10))
-                .map_err(|e| format!("{addr}: {e}"))?;
-            let last = lines
-                .last()
-                .ok_or_else(|| format!("{addr}: empty response"))?;
-            let response: WireResponse =
-                serde_json::from_str(last).map_err(|e| format!("{addr}: bad response: {e}"))?;
+            let response = roundtrip(addr, &line, std::time::Duration::from_secs(10))?;
+            let response: WireResponse = serde_json::from_str(response.trim())
+                .map_err(|e| format!("{addr}: bad response: {e}"))?;
             if response.status != "ok" {
                 let detail = response
                     .error
@@ -1298,7 +1313,6 @@ mod tests {
         .expect("bind");
         let addr = server.local_addr().to_string();
 
-        let peer = rpwf_server::peer::Peer::new(addr.clone());
         let solve = serde_json::to_string(&rpwf_server::protocol::Request {
             id: Some(7),
             deadline_ms: None,
@@ -1314,10 +1328,9 @@ mod tests {
             },
         })
         .unwrap();
-        let lines = peer
-            .call(&solve, std::time::Duration::from_secs(30))
-            .expect("traced solve");
-        assert!(lines[0].contains("\"trace\""), "{}", lines[0]);
+        let line =
+            roundtrip(&addr, &solve, std::time::Duration::from_secs(30)).expect("traced solve");
+        assert!(line.contains("\"trace\""), "{line}");
 
         let out = run(&Command::Trace {
             addr: addr.clone(),

@@ -648,6 +648,152 @@ fn traced_fleet_request_returns_one_merged_trace() {
 }
 
 #[test]
+fn a_traced_forward_does_not_hold_a_worker() {
+    // The primary owner is a bound listener that never accepts: a forward
+    // to it connects, then waits out the read bound before failing over to
+    // the live successor. The entry has ONE worker, so a traced forward
+    // that held it would make the entry's own solve wait behind it.
+    let silent = TcpListener::bind("127.0.0.1:0").expect("bind silent owner");
+    let silent_addr = silent.local_addr().expect("addr").to_string();
+    let addrs = reserve_addrs(2);
+    let (entry, live) = (addrs[0].clone(), addrs[1].clone());
+    let members = vec![entry.clone(), silent_addr.clone(), live.clone()];
+    let peers_of =
+        |me: &str| -> Vec<String> { members.iter().filter(|m| *m != me).cloned().collect() };
+    let options = RingOptions {
+        peer_read: Some(Duration::from_millis(1_500)),
+        ..ring_options(2)
+    };
+    let _live = Server::bind_ring(
+        &live,
+        fleet_config(&live, 64),
+        &peers_of(&live),
+        options.clone(),
+    )
+    .expect("bind live successor");
+    let _entry = Server::bind_ring(
+        &entry,
+        ServiceConfig {
+            workers: 1,
+            ..fleet_config(&entry, 64)
+        },
+        &peers_of(&entry),
+        options,
+    )
+    .expect("bind entry");
+
+    let ring = HashRing::new(members.clone(), VNODES);
+    let owners = |seed: u64| -> Vec<String> {
+        let key = solve_cmd(seed, 1.5).route_key().expect("solve routes");
+        ring.owners(key, 2).into_iter().map(str::to_owned).collect()
+    };
+    let forwarded = (0..500u64)
+        .find(|&s| owners(s) == [silent_addr.clone(), live.clone()])
+        .expect("some instance is owned by the silent node, then the live one");
+    let local = (0..500u64)
+        .find(|&s| owners(s)[0] == entry)
+        .expect("some instance is owned by the entry");
+
+    let stream = TcpStream::connect(&entry).expect("connect");
+    let mut w = stream.try_clone().expect("clone");
+    writeln!(w, "{}", traced_request_line(1, solve_cmd(forwarded, 1.5))).expect("send");
+    writeln!(w, "{}", request_line(2, solve_cmd(local, 1.5))).expect("send");
+    let mut reader = BufReader::new(stream);
+    let mut next = || {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read response line");
+        serde_json::from_str::<Response>(line.trim()).expect("well-formed response")
+    };
+    let first = next();
+    assert_eq!(
+        first.id,
+        Some(2),
+        "the entry's own solve must not wait behind the traced forward"
+    );
+    assert_eq!(first.status, "ok", "{:?}", first.error);
+
+    let traced = next();
+    assert_eq!(traced.id, Some(1));
+    assert_eq!(traced.status, "ok", "{:?}", traced.error);
+    assert_eq!(
+        traced.meta.node.as_deref(),
+        Some(live.as_str()),
+        "the live successor answers"
+    );
+    let tree = traced.meta.trace.as_ref().expect("trace requested");
+    let roots: Vec<usize> = tree
+        .spans
+        .iter()
+        .enumerate()
+        .filter(|(_, s)| s.parent.is_none())
+        .map(|(i, _)| i)
+        .collect();
+    assert_eq!(roots, vec![0], "one merged tree");
+    let attr = |i: usize, key: &str| -> Option<&str> {
+        tree.spans[i]
+            .attrs
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.as_str())
+    };
+    let failover = tree
+        .spans
+        .iter()
+        .position(|s| s.name == "peer.failover")
+        .expect("the abandoned owner is spanned");
+    assert_eq!(attr(failover, "abandoned"), Some(silent_addr.as_str()));
+    assert_eq!(tree.spans[failover].parent, Some(0));
+    let to_live = (0..tree.spans.len())
+        .find(|&i| tree.spans[i].name == "peer.forward" && attr(i, "to") == Some(live.as_str()))
+        .expect("a forward span for the successor attempt");
+    let owner_root = tree
+        .spans
+        .iter()
+        .position(|s| s.name == "request" && s.parent == Some(to_live as u32))
+        .expect("the successor's subtree is grafted under its forward span");
+    assert_eq!(attr(owner_root, "node"), Some(live.as_str()));
+    drop(silent);
+}
+
+#[test]
+fn peer_forwards_reuse_one_pooled_connection() {
+    // replicas: 1 — no CacheFill pushes, so the owner accepts only the
+    // entry's forwarding connections and this test's own metrics probe.
+    let (addrs, _servers) = start_fleet_with(2, 64, 1);
+    let ring = HashRing::new(addrs.clone(), VNODES);
+    let (entry, owner) = (&addrs[0], &addrs[1]);
+    let seeds: Vec<u64> = (0..200u64)
+        .filter(|&s| {
+            let key = solve_cmd(s, 1.5).route_key().expect("solve routes");
+            ring.owner(key) == Some(owner.as_str())
+        })
+        .take(4)
+        .collect();
+    assert_eq!(seeds.len(), 4, "need four owner-held instances");
+    for (i, &seed) in seeds.iter().enumerate() {
+        // Traced or not, every forward draws on the same pool.
+        let line = if i % 2 == 0 {
+            request_line(i as u64, solve_cmd(seed, 1.5))
+        } else {
+            traced_request_line(i as u64, solve_cmd(seed, 1.5))
+        };
+        let got = roundtrip(entry, &line);
+        assert_eq!(got[0].status, "ok", "{:?}", got[0].error);
+        assert_eq!(got[0].meta.node.as_deref(), Some(owner.as_str()));
+    }
+    let metrics = roundtrip(owner, &request_line(99, Command::Metrics));
+    let text = match metrics[0].result.as_ref().expect("metrics text") {
+        serde::Value::Str(s) => s.clone(),
+        other => panic!("metrics must be text, got {other:?}"),
+    };
+    assert!(
+        text.contains("rpwf_reactor_connections_accepted_total 2\n"),
+        "four sequential forwards must share one pooled connection \
+         (the second accept is this probe): {text}"
+    );
+}
+
+#[test]
 fn dead_peer_degrades_to_local_solving() {
     let single = Server::bind("127.0.0.1:0", fleet_config("solo", 64)).expect("bind single");
     let single_addr = single.local_addr().to_string();
