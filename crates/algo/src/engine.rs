@@ -23,6 +23,14 @@
 //!   exact-first selection, portfolio racing, and budget-cutoff fallback —
 //!   in one audited place.
 //!
+//! A plan is one value, computed once per request: its shape
+//! (`front-exact`, `front-heuristic` or `front-none` for [`Want::Front`];
+//! `point-via-front`, `point-race` or `point-heuristic` for
+//! [`Want::Point`]), the backend it runs and the heuristic race members.
+//! [`Engine::solve_traced`] records that value on the `engine.plan` span
+//! and then executes the same value, so a trace always names the plan
+//! that ran.
+//!
 //! The planning reproduces the legacy entry points **byte for byte** (the
 //! `engine_equivalence` proptest suite asserts it): the serving layer, the
 //! CLI, and the bench experiments all collapse onto [`Engine::solve`].
@@ -53,7 +61,6 @@
 use crate::exact::{
     pareto_front_comm_homog_with_budget, solve_comm_homog_with_budget, BranchBound, SearchStats,
 };
-use crate::explain::{EngineOracle, Explanation};
 use crate::front::{
     threshold_read, BranchBoundSweep, FrontSource, IntervalDpFront, PortfolioFront,
 };
@@ -305,23 +312,6 @@ pub enum Want {
     },
     /// The whole bi-objective Pareto front.
     Front,
-    /// The front, destined for chunked streaming. The engine plans this
-    /// exactly like [`Want::Front`] — chunking is a transport rendering —
-    /// but the hint travels with the request so one request type
-    /// describes every solve/pareto call site.
-    FrontStream {
-        /// Maximum points per streamed chunk (must be ≥ 1).
-        chunk: usize,
-    },
-    /// An infeasibility explanation for the threshold query: MUS/MCS
-    /// enumeration over the query's constraint universe plus the
-    /// nearest-feasible what-if (see [`crate::explain`]). Planned as a
-    /// series of front solves (one per platform relaxation variant) under
-    /// the request's budget.
-    Explain {
-        /// The threshold objective to explain.
-        objective: Objective,
-    },
 }
 
 /// One solve request: the instance, the wanted answer shape, and the
@@ -365,9 +355,6 @@ pub enum Answer {
     /// A Pareto front (possibly a partial, sound under-approximation —
     /// check the completeness record).
     Front(Arc<ParetoFront<IntervalMapping>>),
-    /// An infeasibility explanation ([`Want::Explain`]); best-effort
-    /// when the completeness record says the plan was budget-cut.
-    Explain(Arc<Explanation>),
 }
 
 /// How complete a [`SolveReport`] is — the record cache layers and
@@ -486,7 +473,7 @@ impl SolveReport {
     pub fn point(&self) -> Option<&BiSolution> {
         match &self.answer {
             Answer::Point(sol) => sol.as_ref(),
-            Answer::Front(_) | Answer::Explain(_) => None,
+            Answer::Front(_) => None,
         }
     }
 
@@ -495,16 +482,7 @@ impl SolveReport {
     pub fn front_answer(&self) -> Option<&Arc<ParetoFront<IntervalMapping>>> {
         match &self.answer {
             Answer::Front(front) => Some(front),
-            Answer::Point(_) | Answer::Explain(_) => None,
-        }
-    }
-
-    /// The explanation, when the request wanted one ([`Want::Explain`]).
-    #[must_use]
-    pub fn explanation(&self) -> Option<&Arc<Explanation>> {
-        match &self.answer {
-            Answer::Explain(explanation) => Some(explanation),
-            Answer::Point(_) | Answer::Front(_) => None,
+            Answer::Point(_) => None,
         }
     }
 }
@@ -856,17 +834,47 @@ impl Engine {
         scope: Option<TraceScope<'_>>,
     ) -> SolveReport {
         let Some(scope) = scope else {
-            return self.dispatch(req);
+            return self.execute(&self.plan(req), req);
         };
         let trace = scope.trace;
         let plan_start_us = trace.elapsed_us();
-        let plan = trace.begin("engine.plan", Some(scope.parent));
-        self.describe_plan(req, scope, plan.index());
-        let report = self.dispatch(req);
+        let span = trace.begin("engine.plan", Some(scope.parent));
+        let plan = self.plan(req);
+        let applicable = self
+            .solvers
+            .iter()
+            .filter(|s| s.applicable(req.pipeline, req.platform))
+            .count();
+        trace.attr(
+            span.index(),
+            "applicable",
+            format!("{applicable}/{}", self.solvers.len()),
+        );
+        match plan.race() {
+            None => trace.attr(span.index(), "want", "front"),
+            Some(race) => {
+                trace.attr(span.index(), "want", "point");
+                trace.attr(
+                    span.index(),
+                    "objective",
+                    match race.objective {
+                        Objective::MinFpUnderLatency(_) => "min-fp-under-latency",
+                        Objective::MinLatencyUnderFp(_) => "min-latency-under-fp",
+                    },
+                );
+                let members: Vec<&str> = race.members.iter().map(|s| s.name()).collect();
+                trace.attr(span.index(), "race", members.join(","));
+            }
+        }
+        trace.attr(span.index(), "plan", plan.name());
+        if let Some(backend) = plan.backend() {
+            trace.attr(span.index(), "backend", backend.name());
+        }
+        let report = self.execute(&plan, req);
         for stat in &report.stats {
             let solver_span = trace.add(
                 &format!("solver.{}", stat.solver),
-                Some(plan.index()),
+                Some(span.index()),
                 plan_start_us,
                 stat.elapsed_us,
                 vec![
@@ -900,157 +908,91 @@ impl Engine {
             }
         }
         trace.attr(
-            plan.index(),
+            span.index(),
             "exact_complete",
             report.completeness.exact_complete.to_string(),
         );
         trace.attr(
-            plan.index(),
+            span.index(),
             "budget_exhausted",
             req.budget.is_exhausted().to_string(),
         );
         if let Some(provenance) = report.provenance {
-            trace.attr(plan.index(), "provenance", provenance.as_str());
+            trace.attr(span.index(), "provenance", provenance.as_str());
         }
-        trace.end(&plan);
+        trace.end(&span);
         report
     }
 
-    /// The untraced planning core shared by [`Engine::solve`] and
-    /// [`Engine::solve_traced`].
-    fn dispatch(&self, req: &SolveRequest<'_>) -> SolveReport {
-        match req.want {
-            Want::Front | Want::FrontStream { .. } => self.plan_front(req),
-            Want::Explain { objective } => self.plan_explain(req, objective),
-            Want::Point {
-                objective,
-                keep_front,
-            } => {
-                if keep_front {
-                    if let Some(backend) = self.front_backend(req.pipeline, req.platform) {
-                        return self.plan_point_via_front(req, objective, backend);
-                    }
-                }
-                self.plan_point_race(req, objective)
+    /// Decides how to answer `req`: the plan shape, the backend and the
+    /// race members. The one place that decision is made —
+    /// [`Engine::solve_traced`] both records and executes its result.
+    fn plan(&self, req: &SolveRequest<'_>) -> Plan<'_> {
+        let (pipeline, platform) = (req.pipeline, req.platform);
+        let Want::Point {
+            objective,
+            keep_front,
+        } = req.want
+        else {
+            return match self.front_backend(pipeline, platform) {
+                Some(backend) => Plan::FrontExact(backend),
+                None => self
+                    .front_fallback(pipeline, platform)
+                    .map_or(Plan::FrontNone, Plan::FrontHeuristic),
+            };
+        };
+        let race = Race {
+            objective,
+            members: self
+                .solvers
+                .iter()
+                .map(AsRef::as_ref)
+                .filter(|s| {
+                    let caps = s.capabilities();
+                    caps.race_member
+                        && caps.shapes.points
+                        && caps.objectives.contains(objective)
+                        && s.applicable(pipeline, platform)
+                })
+                .collect(),
+        };
+        if keep_front {
+            if let Some(backend) = self.front_backend(pipeline, platform) {
+                return Plan::PointViaFront(backend, race);
             }
+        }
+        match self.point_backend(pipeline, platform, objective) {
+            Some(backend) => Plan::PointRace(backend, race),
+            None => Plan::PointHeuristic(race),
         }
     }
 
-    /// Records the planning decision onto the `engine.plan` span: which
-    /// plan shape was chosen, which backend answers, which race members
-    /// join, and how many registered solvers survived the capability
-    /// filter for this instance.
-    fn describe_plan(&self, req: &SolveRequest<'_>, scope: TraceScope<'_>, plan: u32) {
-        let trace = scope.trace;
-        let applicable = self
-            .solvers
-            .iter()
-            .filter(|s| s.applicable(req.pipeline, req.platform))
-            .count();
-        trace.attr(
-            plan,
-            "applicable",
-            format!("{applicable}/{}", self.solvers.len()),
-        );
-        match req.want {
-            Want::Explain { objective } => {
-                trace.attr(plan, "want", "explain");
-                trace.attr(
-                    plan,
-                    "objective",
-                    match objective {
-                        Objective::MinFpUnderLatency(_) => "min-fp-under-latency",
-                        Objective::MinLatencyUnderFp(_) => "min-latency-under-fp",
-                    },
-                );
-                match self.front_backend(req.pipeline, req.platform) {
-                    Some(backend) => {
-                        trace.attr(plan, "plan", "explain-exact");
-                        trace.attr(plan, "backend", backend.name());
-                    }
-                    None => trace.attr(plan, "plan", "explain-heuristic"),
-                }
-            }
-            Want::Front | Want::FrontStream { .. } => {
-                trace.attr(plan, "want", "front");
-                if let Some(backend) = self.front_backend(req.pipeline, req.platform) {
-                    trace.attr(plan, "plan", "front-exact");
-                    trace.attr(plan, "backend", backend.name());
-                } else if let Some(backend) = self.front_fallback(req.pipeline, req.platform) {
-                    trace.attr(plan, "plan", "front-heuristic");
-                    trace.attr(plan, "backend", backend.name());
-                } else {
-                    trace.attr(plan, "plan", "front-none");
-                }
-            }
-            Want::Point {
-                objective,
-                keep_front,
-            } => {
-                trace.attr(plan, "want", "point");
-                trace.attr(
-                    plan,
-                    "objective",
-                    match objective {
-                        Objective::MinFpUnderLatency(_) => "min-fp-under-latency",
-                        Objective::MinLatencyUnderFp(_) => "min-latency-under-fp",
-                    },
-                );
-                let race: Vec<&str> = self
-                    .solvers
-                    .iter()
-                    .map(AsRef::as_ref)
-                    .filter(|s| {
-                        let caps = s.capabilities();
-                        caps.race_member
-                            && caps.shapes.points
-                            && caps.objectives.contains(objective)
-                            && s.applicable(req.pipeline, req.platform)
-                    })
-                    .map(Solver::name)
-                    .collect();
-                trace.attr(plan, "race", race.join(","));
-                if keep_front {
-                    if let Some(backend) = self.front_backend(req.pipeline, req.platform) {
-                        trace.attr(plan, "plan", "point-via-front");
-                        trace.attr(plan, "backend", backend.name());
-                        return;
-                    }
-                }
-                match self.point_backend(req.pipeline, req.platform, objective) {
-                    Some(backend) => {
-                        trace.attr(plan, "plan", "point-race");
-                        trace.attr(plan, "backend", backend.name());
-                    }
-                    None => trace.attr(plan, "plan", "point-heuristic"),
-                }
-            }
+    /// Runs a plan: the untraced core of [`Engine::solve_traced`].
+    fn execute(&self, plan: &Plan<'_>, req: &SolveRequest<'_>) -> SolveReport {
+        match *plan {
+            Plan::FrontExact(backend) => self.plan_front(req, Some(backend), true),
+            Plan::FrontHeuristic(backend) => self.plan_front(req, Some(backend), false),
+            Plan::FrontNone => self.plan_front(req, None, false),
+            Plan::PointViaFront(backend, ref race) => self.plan_point_via_front(req, backend, race),
+            Plan::PointRace(backend, ref race) => self.plan_point_race(req, Some(backend), race),
+            Plan::PointHeuristic(ref race) => self.plan_point_race(req, None, race),
         }
     }
 
     /// Front plan: the exact front backend where one applies, the
     /// heuristic portfolio sweep beyond.
-    fn plan_front(&self, req: &SolveRequest<'_>) -> SolveReport {
+    fn plan_front(
+        &self,
+        req: &SolveRequest<'_>,
+        backend: Option<&dyn Solver>,
+        exact_capable: bool,
+    ) -> SolveReport {
         let mut stats = Vec::new();
         let mut parallel = Vec::new();
-        let (outcome, provenance, exact_capable) =
-            match self.front_backend(req.pipeline, req.platform) {
-                Some(backend) => {
-                    let outcome = timed_front(backend, req, &mut stats, &mut parallel);
-                    (outcome, Provenance::Exact, true)
-                }
-                None => match self.front_fallback(req.pipeline, req.platform) {
-                    Some(backend) => {
-                        let outcome = timed_front(backend, req, &mut stats, &mut parallel);
-                        (outcome, Provenance::Heuristic, false)
-                    }
-                    None => (
-                        Budgeted::Cutoff(ParetoFront::new()),
-                        Provenance::Heuristic,
-                        false,
-                    ),
-                },
-            };
+        let outcome = match backend {
+            Some(backend) => timed_front(backend, req, &mut stats, &mut parallel),
+            None => Budgeted::Cutoff(ParetoFront::new()),
+        };
         let complete = outcome.is_complete();
         let front = Arc::new(outcome.into_inner());
         // Field semantics: `exact_complete` may only be claimed by a
@@ -1072,39 +1014,13 @@ impl Engine {
             }
         };
         SolveReport {
-            provenance: Some(provenance),
-            completeness,
-            answer: Answer::Front(front),
-            front: None,
-            stats,
-            parallel,
-        }
-    }
-
-    /// Explain plan: MARCO MUS/MCS enumeration over the query's
-    /// constraint universe ([`crate::explain`]), each satisfiability
-    /// probe a recursive [`Want::Front`] solve under the request's
-    /// budget. `exact_complete` means every infeasibility verdict the
-    /// enumeration relied on was read off a proven-exact front — the
-    /// explanation is minimal-proven; anything less is best-effort.
-    fn plan_explain(&self, req: &SolveRequest<'_>, objective: Objective) -> SolveReport {
-        let mut oracle = EngineOracle::new(self, req.budget);
-        let explanation =
-            crate::explain::explain(req.pipeline, req.platform, objective, &mut oracle);
-        let (stats, parallel, heuristic_complete) = oracle.into_parts();
-        let proven = explanation.proven;
-        SolveReport {
-            answer: Answer::Explain(Arc::new(explanation)),
-            completeness: Completeness {
-                exact_capable: self.front_backend(req.pipeline, req.platform).is_some(),
-                exact_complete: proven,
-                heuristic_complete,
-            },
-            provenance: Some(if proven {
+            provenance: Some(if exact_capable {
                 Provenance::Exact
             } else {
                 Provenance::Heuristic
             }),
+            completeness,
+            answer: Answer::Front(front),
             front: None,
             stats,
             parallel,
@@ -1119,15 +1035,16 @@ impl Engine {
     fn plan_point_via_front(
         &self,
         req: &SolveRequest<'_>,
-        objective: Objective,
         backend: &dyn Solver,
+        race: &Race<'_>,
     ) -> SolveReport {
+        let objective = race.objective;
         let mut stats = Vec::new();
         let mut parallel = Vec::new();
         let (front_outcome, heuristic, mut heuristic_stats) = crossbeam::thread::scope(|scope| {
             let heuristic = scope.spawn(|_| {
                 let mut hstats = Vec::new();
-                let outcome = self.race_heuristics(req, objective, &mut hstats);
+                let outcome = race.run(req, &mut hstats);
                 (outcome, hstats)
             });
             let front = timed_front(backend, req, &mut stats, &mut parallel);
@@ -1166,18 +1083,24 @@ impl Engine {
         }
     }
 
-    /// Per-threshold race plan: the exact point backend against the
-    /// heuristic race members under the shared budget. Non-seedable exact
-    /// backends run truly in parallel on a second thread; seedable ones
-    /// (branch-and-bound) run after the heuristics, seeded with their
-    /// answer, so the exact search polls the budget from its first node.
-    fn plan_point_race(&self, req: &SolveRequest<'_>, objective: Objective) -> SolveReport {
+    /// Per-threshold race plan: the exact point backend (if any) against
+    /// the heuristic race members under the shared budget. Non-seedable
+    /// exact backends run truly in parallel on a second thread; seedable
+    /// ones (branch-and-bound) run after the heuristics, seeded with
+    /// their answer, so the exact search polls the budget from its first
+    /// node.
+    fn plan_point_race(
+        &self,
+        req: &SolveRequest<'_>,
+        backend: Option<&dyn Solver>,
+        race: &Race<'_>,
+    ) -> SolveReport {
+        let objective = race.objective;
         let mut stats = Vec::new();
         let mut parallel = Vec::new();
-        let backend = self.point_backend(req.pipeline, req.platform, objective);
         let (exact_outcome, heuristic) = match backend {
             Some(s) if s.capabilities().seedable => {
-                let heuristic = self.race_heuristics(req, objective, &mut stats);
+                let heuristic = race.run(req, &mut stats);
                 let start = Instant::now();
                 let (outcome, search) = s.solve_point_seeded_stats(
                     req.pipeline,
@@ -1200,7 +1123,7 @@ impl Engine {
                             s.solve_point(req.pipeline, req.platform, objective, req.budget);
                         (outcome, start)
                     });
-                    let heuristic = self.race_heuristics(req, objective, &mut stats);
+                    let heuristic = race.run(req, &mut stats);
                     let (outcome, start) = exact.join().expect("exact solver does not panic");
                     push_point_stat(&mut stats, s.name(), start, &outcome, None);
                     (outcome, heuristic)
@@ -1208,7 +1131,7 @@ impl Engine {
                 .expect("race threads do not panic");
                 (Some(exact), heuristic)
             }
-            None => (None, self.race_heuristics(req, objective, &mut stats)),
+            None => (None, race.run(req, &mut stats)),
         };
 
         let heuristic_complete = heuristic.is_complete();
@@ -1260,28 +1183,85 @@ impl Engine {
             parallel,
         }
     }
+}
 
-    /// Runs every applicable race member in registration order under the
-    /// shared budget and keeps the best answer — the engine's heuristic
-    /// portfolio, bit-identical to the legacy
+/// The decision [`Engine::solve`] makes for one request, computed once by
+/// `Engine::plan`: [`Engine::solve_traced`] records this value on the
+/// `engine.plan` span and executes the same value, so a trace cannot
+/// report a plan other than the one that ran.
+enum Plan<'e> {
+    /// The exact front backend builds the front.
+    FrontExact(&'e dyn Solver),
+    /// No exact front backend applies: the heuristic front fallback
+    /// (flagged incomplete).
+    FrontHeuristic(&'e dyn Solver),
+    /// No front producer applies at all: an empty cutoff front.
+    FrontNone,
+    /// The exact front backend builds the whole front beside the race;
+    /// the answer is a read off that front.
+    PointViaFront(&'e dyn Solver, Race<'e>),
+    /// The exact point backend against the race.
+    PointRace(&'e dyn Solver, Race<'e>),
+    /// No exact point backend applies: the race alone.
+    PointHeuristic(Race<'e>),
+}
+
+impl<'e> Plan<'e> {
+    /// The `plan` attribute of the `engine.plan` span.
+    fn name(&self) -> &'static str {
+        match self {
+            Plan::FrontExact(_) => "front-exact",
+            Plan::FrontHeuristic(_) => "front-heuristic",
+            Plan::FrontNone => "front-none",
+            Plan::PointViaFront(..) => "point-via-front",
+            Plan::PointRace(..) => "point-race",
+            Plan::PointHeuristic(_) => "point-heuristic",
+        }
+    }
+
+    /// The backend the plan runs besides any race.
+    fn backend(&self) -> Option<&'e dyn Solver> {
+        match *self {
+            Plan::FrontExact(backend)
+            | Plan::FrontHeuristic(backend)
+            | Plan::PointViaFront(backend, _)
+            | Plan::PointRace(backend, _) => Some(backend),
+            Plan::FrontNone | Plan::PointHeuristic(_) => None,
+        }
+    }
+
+    /// The heuristic race of a point plan (`None` for front plans).
+    fn race(&self) -> Option<&Race<'e>> {
+        match self {
+            Plan::PointViaFront(_, race)
+            | Plan::PointRace(_, race)
+            | Plan::PointHeuristic(race) => Some(race),
+            Plan::FrontExact(_) | Plan::FrontHeuristic(_) | Plan::FrontNone => None,
+        }
+    }
+}
+
+/// The heuristic side of a point plan: its objective and every
+/// applicable race member, in registration order.
+struct Race<'e> {
+    objective: Objective,
+    members: Vec<&'e dyn Solver>,
+}
+
+impl Race<'_> {
+    /// Runs every member in registration order under the shared budget
+    /// and keeps the best answer — the engine's heuristic portfolio,
+    /// bit-identical to the legacy
     /// [`Portfolio`](crate::heuristics::Portfolio) fold.
-    fn race_heuristics(
+    fn run(
         &self,
         req: &SolveRequest<'_>,
-        objective: Objective,
         stats: &mut Vec<SolverStat>,
     ) -> Budgeted<Option<BiSolution>> {
+        let objective = self.objective;
         let mut complete = true;
         let mut best: Option<BiSolution> = None;
-        for solver in self.solvers.iter().map(AsRef::as_ref) {
-            let caps = solver.capabilities();
-            if !(caps.race_member
-                && caps.shapes.points
-                && caps.objectives.contains(objective)
-                && solver.applicable(req.pipeline, req.platform))
-            {
-                continue;
-            }
+        for &solver in &self.members {
             let start = Instant::now();
             let outcome = solver.solve_point(req.pipeline, req.platform, objective, req.budget);
             let member_complete = outcome.is_complete();
@@ -2072,6 +2052,104 @@ mod tests {
         );
         for span in solver_spans {
             assert!(span.name.len() > "solver.".len());
+        }
+    }
+
+    #[test]
+    fn traced_plan_names_exactly_the_solvers_that_ran() {
+        use rpwf_core::trace::{Trace, TraceId, TraceScope};
+
+        let ch = instance(PlatformClass::CommHomogeneous, 3, 4, 7);
+        let het = instance(PlatformClass::FullyHeterogeneous, 3, 5, 7);
+        let big = instance(PlatformClass::FullyHeterogeneous, 3, 14, 7);
+        let point = |(pipe, pf): &(Pipeline, Platform), keep_front| Want::Point {
+            objective: Objective::MinFpUnderLatency(
+                crate::mono::minimize_failure(pipe, pf).latency * 1.5,
+            ),
+            keep_front,
+        };
+        let (stock, empty) = (engine(), Engine::new(0));
+        let cases = [
+            (&stock, &ch, Want::Front, "front-exact", Some("bitmask-dp")),
+            (
+                &stock,
+                &big,
+                Want::Front,
+                "front-heuristic",
+                Some("portfolio-front"),
+            ),
+            (&empty, &ch, Want::Front, "front-none", None),
+            (
+                &stock,
+                &ch,
+                point(&ch, true),
+                "point-via-front",
+                Some("bitmask-dp"),
+            ),
+            (
+                &stock,
+                &het,
+                point(&het, false),
+                "point-race",
+                Some("branch-bound"),
+            ),
+            (&stock, &big, point(&big, false), "point-heuristic", None),
+        ];
+        for (engine, (pipe, pf), want, shape, backend) in cases {
+            let trace = Trace::new(TraceId::next(), Instant::now());
+            let root = trace.begin_root("request");
+            let req = SolveRequest {
+                pipeline: pipe,
+                platform: pf,
+                want,
+                budget: &Budget::unlimited(),
+            };
+            let _ = engine.solve_traced(&req, Some(TraceScope::new(&trace, root.index())));
+            trace.end(&root);
+            let tree = trace.finish();
+            let plan_index = tree
+                .spans
+                .iter()
+                .position(|s| s.name == "engine.plan")
+                .expect("plan span");
+            let plan = &tree.spans[plan_index];
+            let attr = |key: &str| {
+                plan.attrs
+                    .iter()
+                    .find(|(k, _)| k == key)
+                    .map(|(_, v)| v.as_str())
+            };
+
+            let mut keys = vec!["applicable", "want"];
+            if matches!(want, Want::Point { .. }) {
+                keys.extend(["objective", "race"]);
+            }
+            keys.push("plan");
+            keys.extend(backend.map(|_| "backend"));
+            keys.extend(["exact_complete", "budget_exhausted", "provenance"]);
+            let recorded: Vec<&str> = plan.attrs.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(recorded, keys, "{shape}: attribute keys in order");
+            assert_eq!(attr("plan"), Some(shape));
+            assert_eq!(attr("backend"), backend, "{shape}");
+
+            let mut ran: Vec<&str> = tree
+                .spans
+                .iter()
+                .filter(|s| s.parent == Some(plan_index as u32))
+                .filter_map(|s| s.name.strip_prefix("solver."))
+                .collect();
+            let mut planned: Vec<&str> = attr("race")
+                .unwrap_or("")
+                .split(',')
+                .filter(|name| !name.is_empty())
+                .chain(backend)
+                .collect();
+            ran.sort_unstable();
+            planned.sort_unstable();
+            assert_eq!(
+                ran, planned,
+                "{shape}: solver spans are the race plus the backend"
+            );
         }
     }
 

@@ -48,8 +48,7 @@
 //! clears [`Explanation::proven`]; consumers must then present MUSes as
 //! candidates, never as proven-minimal conflicts.
 
-use crate::engine::{Engine, SolveRequest, SolverStat, Want};
-use crate::exact::SearchStats;
+use crate::engine::{Engine, SolveRequest, Want};
 use crate::front::threshold_read;
 use crate::solution::Objective;
 use rpwf_core::budget::Budget;
@@ -296,35 +295,18 @@ pub trait FrontOracle {
     fn front(&mut self, pipeline: &Pipeline, platform: &Platform, variant: u8) -> OracleFront;
 }
 
-/// The default oracle: every front is an [`Engine`] front solve under
-/// the caller's budget. Accumulates the per-backend stats of every solve
-/// it runs so the engine's `Explain` plan can report them.
+/// The cache-less oracle behind `rpwf explain`: every front is an
+/// [`Engine`] front solve under the caller's budget.
 pub struct EngineOracle<'a> {
     engine: &'a Engine,
     budget: &'a Budget,
-    stats: Vec<SolverStat>,
-    parallel: Vec<(&'static str, SearchStats)>,
-    heuristic_complete: bool,
 }
 
 impl<'a> EngineOracle<'a> {
     /// An oracle solving through `engine` under `budget`.
     #[must_use]
     pub fn new(engine: &'a Engine, budget: &'a Budget) -> Self {
-        EngineOracle {
-            engine,
-            budget,
-            stats: Vec::new(),
-            parallel: Vec::new(),
-            heuristic_complete: true,
-        }
-    }
-
-    /// The accumulated per-backend stats, parallel-search telemetry, and
-    /// whether every heuristic the oracle's solves ran finished.
-    #[must_use]
-    pub fn into_parts(self) -> (Vec<SolverStat>, Vec<(&'static str, SearchStats)>, bool) {
-        (self.stats, self.parallel, self.heuristic_complete)
+        EngineOracle { engine, budget }
     }
 }
 
@@ -336,14 +318,11 @@ impl FrontOracle for EngineOracle<'_> {
             want: Want::Front,
             budget: self.budget,
         });
-        self.heuristic_complete &= report.completeness.heuristic_complete;
         let complete = report.completeness.exact_complete;
         let front = report
             .front_answer()
             .cloned()
             .unwrap_or_else(|| Arc::new(ParetoFront::new()));
-        self.stats.extend(report.stats);
-        self.parallel.extend(report.parallel.clone());
         OracleFront {
             front,
             complete,
@@ -628,7 +607,7 @@ pub fn mask_indices(mask: u8) -> Vec<usize> {
 }
 
 /// Shapes a [`MarcoOutcome`] into the [`Explanation`] every consumer
-/// (engine report, wire payload, CLI rendering) shares.
+/// (wire payload, CLI rendering) shares.
 #[must_use]
 pub fn assemble(objective: Objective, platform: &Platform, outcome: &MarcoOutcome) -> Explanation {
     let relaxation = (!outcome.feasible)

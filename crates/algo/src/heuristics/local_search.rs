@@ -16,7 +16,6 @@
 //! implementation produced. The step loop polls the request [`Budget`] so
 //! tight server deadlines cut the search off with its best-so-far.
 
-use crate::heuristics::candidate::ScanCache;
 use crate::heuristics::neighborhood::{random_mapping, MoveStream};
 use crate::solution::{BiSolution, Budgeted, Objective};
 use rand::rngs::StdRng;
@@ -37,17 +36,6 @@ pub struct LocalSearch {
     pub max_steps: usize,
     /// RNG seed for the random restarts.
     pub seed: u64,
-    /// Candidate-list scanning (don't-look bits): moves on intervals
-    /// untouched by the last committed move are re-scored by replaying
-    /// their cached term effects instead of a full apply/revert. Seeded
-    /// results are bit-identical either way (see [`ScanCache`]; E15
-    /// asserts it), so this is purely a performance knob. Off by
-    /// default: interval mappings keep `p` small, so one committed
-    /// move's dirty window covers much of the neighborhood and the map
-    /// bookkeeping often costs as much as the (already incremental)
-    /// scoring it skips — opt in for workloads with many intervals,
-    /// and let E15's scan-vs-dlb columns arbitrate.
-    pub candidate_list: bool,
 }
 
 impl Default for LocalSearch {
@@ -56,7 +44,6 @@ impl Default for LocalSearch {
             random_restarts: 8,
             max_steps: 200,
             seed: 0xC0FFEE,
-            candidate_list: false,
         }
     }
 }
@@ -121,7 +108,6 @@ impl LocalSearch {
         let limited = budget.is_limited();
         let mut cut = false;
         let mut de: Option<DeltaEval> = None;
-        let mut cache = ScanCache::new();
         let mut best: Option<BiSolution> = None;
         let mut scanned = 0u32;
         for start in starts {
@@ -137,7 +123,6 @@ impl LocalSearch {
                 }
                 none => none.insert(DeltaEval::new(&ctx, &start)),
             };
-            cache.reset(de.n_intervals());
             let mut cur = de.scores();
             'descent: for _ in 0..self.max_steps {
                 if limited && budget.is_exhausted() {
@@ -147,10 +132,7 @@ impl LocalSearch {
                 // Scan the neighborhood in place, tracking the running
                 // best exactly like the materializing scan did: each
                 // improving candidate becomes the comparison point for
-                // the rest of the scan. With the candidate list on,
-                // moves on intervals untouched since their last scoring
-                // replay their cached effects (bit-identical scores,
-                // none of the work).
+                // the rest of the scan.
                 let mut stream = MoveStream::new();
                 let mut best_mv = None;
                 let mut scan = cur;
@@ -162,13 +144,8 @@ impl LocalSearch {
                         cut = true;
                         break 'descent;
                     }
-                    let s = if self.candidate_list {
-                        cache.score(de, mv)
-                    } else {
-                        let s = de.apply(mv);
-                        de.revert();
-                        s
-                    };
+                    let s = de.apply(mv);
+                    de.revert();
                     if objective.better_values(
                         s.latency,
                         s.failure_prob(),
@@ -182,9 +159,6 @@ impl LocalSearch {
                 let Some(mv) = best_mv else { break };
                 cur = de.apply(mv);
                 de.accept();
-                if self.candidate_list {
-                    cache.commit(mv, de.n_intervals());
-                }
             }
             if objective.feasible(cur.latency, cur.failure_prob())
                 && best.as_ref().is_none_or(|b| {
@@ -291,48 +265,6 @@ mod tests {
     }
 
     #[test]
-    fn candidate_list_matches_full_scan_exactly() {
-        // Don't-look bits are a pure speedup: seeded answers must be
-        // identical (mapping and bit-level objectives) to the full scan,
-        // across platform classes and both objectives.
-        let mut rng = StdRng::seed_from_u64(17);
-        for trial in 0..6 {
-            let pipe = PipelineGen::balanced(4 + trial % 3).sample(&mut rng);
-            let pf = PlatformGen::new(
-                5 + trial % 4,
-                if trial % 2 == 0 {
-                    PlatformClass::FullyHeterogeneous
-                } else {
-                    PlatformClass::CommHomogeneous
-                },
-                FailureClass::Heterogeneous,
-            )
-            .sample(&mut rng);
-            let objective = if trial % 2 == 0 {
-                Objective::MinLatencyUnderFp(0.6)
-            } else {
-                Objective::MinFpUnderLatency(
-                    crate::mono::minimize_failure(&pipe, &pf).latency * 1.3,
-                )
-            };
-            let with = LocalSearch {
-                candidate_list: true,
-                seed: 3 + trial as u64,
-                ..Default::default()
-            };
-            let without = LocalSearch {
-                candidate_list: false,
-                ..with
-            };
-            assert_eq!(
-                with.solve(&pipe, &pf, objective),
-                without.solve(&pipe, &pf, objective),
-                "trial {trial}: candidate-list scan must not change the answer"
-            );
-        }
-    }
-
-    #[test]
     fn deterministic_given_seed() {
         let pipe = rpwf_gen::figure5_pipeline();
         let pf = rpwf_gen::figure5_platform();
@@ -340,7 +272,6 @@ mod tests {
             random_restarts: 4,
             max_steps: 50,
             seed: 99,
-            ..Default::default()
         };
         let a = ls.solve(&pipe, &pf, Objective::MinLatencyUnderFp(0.3));
         let b = ls.solve(&pipe, &pf, Objective::MinLatencyUnderFp(0.3));

@@ -13,7 +13,6 @@
 //! E10 quantifies each against the exact fronts of [`crate::exact`].
 
 pub mod annealing;
-pub mod candidate;
 pub mod local_search;
 pub mod neighborhood;
 pub mod one_to_one;

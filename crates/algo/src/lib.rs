@@ -30,7 +30,7 @@
 //! When a threshold query is infeasible, the [`explain`] module says
 //! *why*: MARCO-style MUS/MCS enumeration over the query's constraint
 //! universe plus a nearest-feasible what-if, reusing engine front solves
-//! as its sat oracle ([`Want::Explain`](engine::Want)).
+//! as its sat oracle ([`EngineOracle`]).
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]

@@ -208,7 +208,7 @@ proptest! {
         let (pipe, pf) = instance(seed, 4, 5, PlatformClass::FullyHeterogeneous);
         let objective = Objective::MinLatencyUnderFp(0.6);
         let ls = rpwf_algo::heuristics::LocalSearch {
-            random_restarts: 2, max_steps: 40, seed, ..Default::default()
+            random_restarts: 2, max_steps: 40, seed
         };
         let budgeted = ls.solve_with_budget(&pipe, &pf, objective, &Budget::unlimited());
         prop_assert!(budgeted.is_complete());

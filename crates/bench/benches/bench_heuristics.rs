@@ -61,7 +61,6 @@ fn bench_heuristics(c: &mut Criterion) {
                     random_restarts: 2,
                     max_steps: 40,
                     seed: 1,
-                    ..Default::default()
                 };
                 b.iter(|| black_box(ls.solve(&pipeline, &platform, objective)))
             },

@@ -284,51 +284,6 @@ pub enum Move {
     },
 }
 
-/// How a move changed the length/indexing of the per-interval term
-/// arrays (part of [`MoveEffect`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SlotChange {
-    /// Term count unchanged, indices stable.
-    #[default]
-    None,
-    /// A merge removed the term slot at `at` (pre-move indexing: the old
-    /// slot `at` is gone, later slots shifted left).
-    Removed {
-        /// Removed slot index.
-        at: usize,
-    },
-    /// A split inserted a term slot at `at` (post-move indexing: the new
-    /// slot sits at `at`, later slots shifted right).
-    Inserted {
-        /// Inserted slot index.
-        at: usize,
-    },
-}
-
-/// The term-level fingerprint of one [`DeltaEval::apply`]: which latency
-/// and log-survival slots the move rewrote (post-move indexing), how the
-/// slot count changed, and the recomputed input-communication term when
-/// the move touched interval 0. Captured on every apply
-/// ([`DeltaEval::last_effect`]) and replayable later
-/// ([`DeltaEval::replay`]) with **bit-identical** scores as long as the
-/// intervals the move read are unchanged — the candidate-list (don't-look
-/// bits) machinery in `rpwf-algo` builds on exactly this contract.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct MoveEffect {
-    /// Structural slot change.
-    pub slot: SlotChange,
-    /// Rewritten latency terms `(post-move index, value)`.
-    pub cost: [(usize, f64); 4],
-    /// Live prefix of [`cost`](Self::cost).
-    pub n_cost: usize,
-    /// Rewritten log-survival terms `(post-move index, value)`.
-    pub ln: [(usize, f64); 2],
-    /// Live prefix of [`ln`](Self::ln).
-    pub n_ln: usize,
-    /// Recomputed input communication, when the move touched interval 0.
-    pub input_comm: Option<f64>,
-}
-
 /// What [`DeltaEval::revert`] must do to undo the last structural change.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 enum UndoKind {
@@ -390,11 +345,6 @@ pub struct DeltaEval<'a> {
     undo: UndoState,
     /// Recycled allocation vectors (avoids allocation on merge/split).
     spare: Vec<Vec<ProcId>>,
-    /// Term-level fingerprint of the last [`apply`](Self::apply).
-    last_effect: MoveEffect,
-    /// Scratch buffers for [`replay`](Self::replay) (kept warm).
-    replay_cost: Vec<f64>,
-    replay_ln: Vec<f64>,
 }
 
 impl<'a> DeltaEval<'a> {
@@ -417,9 +367,6 @@ impl<'a> DeltaEval<'a> {
                 ..UndoState::default()
             },
             spare: Vec::new(),
-            last_effect: MoveEffect::default(),
-            replay_cost: Vec::new(),
-            replay_ln: Vec::new(),
         };
         de.reset(mapping);
         de
@@ -615,17 +562,6 @@ impl<'a> DeltaEval<'a> {
                 *n_dirty += 1;
             }
         }
-        // Dirty log-survival indices (post-mutation numbering) and the
-        // structural slot change, recorded into `last_effect`.
-        let mut ln_dirty = [usize::MAX; 2];
-        let mut n_ln_dirty = 0usize;
-        let mark_ln = |idx: usize, ln_dirty: &mut [usize; 2], n: &mut usize| {
-            if !ln_dirty[..*n].contains(&idx) {
-                ln_dirty[*n] = idx;
-                *n += 1;
-            }
-        };
-        let mut slot = SlotChange::None;
         let mut input_dirty = false;
 
         match mv {
@@ -662,12 +598,11 @@ impl<'a> DeltaEval<'a> {
                 self.cost_terms.remove(j + 1);
                 self.ln_terms.remove(j + 1);
                 self.undo.kind = UndoKind::Merged;
-                slot = SlotChange::Removed { at: j + 1 };
                 mark(j, &mut dirty, &mut n_dirty);
                 if j > 0 {
                     mark(j - 1, &mut dirty, &mut n_dirty);
                 }
-                mark_ln(j, &mut ln_dirty, &mut n_ln_dirty);
+                self.ln_terms[j] = self.ctx.ln_survival(&self.alloc[j]);
                 input_dirty = j == 0;
             }
             Move::Split { j, cut } => {
@@ -688,14 +623,13 @@ impl<'a> DeltaEval<'a> {
                 self.cost_terms.insert(j + 1, 0.0);
                 self.ln_terms.insert(j + 1, 0.0);
                 self.undo.kind = UndoKind::Split;
-                slot = SlotChange::Inserted { at: j + 1 };
                 mark(j, &mut dirty, &mut n_dirty);
                 mark(j + 1, &mut dirty, &mut n_dirty);
                 if j > 0 {
                     mark(j - 1, &mut dirty, &mut n_dirty);
                 }
-                mark_ln(j, &mut ln_dirty, &mut n_ln_dirty);
-                mark_ln(j + 1, &mut ln_dirty, &mut n_ln_dirty);
+                self.ln_terms[j] = self.ctx.ln_survival(&self.alloc[j]);
+                self.ln_terms[j + 1] = self.ctx.ln_survival(&self.alloc[j + 1]);
                 input_dirty = j == 0;
             }
             Move::Grow { j, proc } => {
@@ -707,7 +641,7 @@ impl<'a> DeltaEval<'a> {
                 if j > 0 {
                     mark(j - 1, &mut dirty, &mut n_dirty);
                 }
-                mark_ln(j, &mut ln_dirty, &mut n_ln_dirty);
+                self.ln_terms[j] = self.ctx.ln_survival(&self.alloc[j]);
                 input_dirty = j == 0;
             }
             Move::Shrink { j, r } => {
@@ -720,7 +654,7 @@ impl<'a> DeltaEval<'a> {
                 if j > 0 {
                     mark(j - 1, &mut dirty, &mut n_dirty);
                 }
-                mark_ln(j, &mut ln_dirty, &mut n_ln_dirty);
+                self.ln_terms[j] = self.ctx.ln_survival(&self.alloc[j]);
                 input_dirty = j == 0;
             }
             Move::Swap { j, r, proc } => {
@@ -734,7 +668,7 @@ impl<'a> DeltaEval<'a> {
                 if j > 0 {
                     mark(j - 1, &mut dirty, &mut n_dirty);
                 }
-                mark_ln(j, &mut ln_dirty, &mut n_ln_dirty);
+                self.ln_terms[j] = self.ctx.ln_survival(&self.alloc[j]);
                 input_dirty = j == 0;
             }
             Move::Migrate { j, r, to } => {
@@ -753,15 +687,12 @@ impl<'a> DeltaEval<'a> {
                 if to > 0 {
                     mark(to - 1, &mut dirty, &mut n_dirty);
                 }
-                mark_ln(j, &mut ln_dirty, &mut n_ln_dirty);
-                mark_ln(to, &mut ln_dirty, &mut n_ln_dirty);
+                self.ln_terms[j] = self.ctx.ln_survival(&self.alloc[j]);
+                self.ln_terms[to] = self.ctx.ln_survival(&self.alloc[to]);
                 input_dirty = j == 0 || to == 0;
             }
         }
 
-        for &x in &ln_dirty[..n_ln_dirty] {
-            self.ln_terms[x] = self.ctx.ln_survival(&self.alloc[x]);
-        }
         for &j in &dirty[..n_dirty] {
             self.cost_terms[j] = self.cost_term(j);
         }
@@ -772,21 +703,6 @@ impl<'a> DeltaEval<'a> {
                 self.ctx.platform,
             );
         }
-        // Record the term-level fingerprint for later replay.
-        let mut effect = MoveEffect {
-            slot,
-            ..MoveEffect::default()
-        };
-        for (k, &j) in dirty[..n_dirty].iter().enumerate() {
-            effect.cost[k] = (j, self.cost_terms[j]);
-        }
-        effect.n_cost = n_dirty;
-        for (k, &x) in ln_dirty[..n_ln_dirty].iter().enumerate() {
-            effect.ln[k] = (x, self.ln_terms[x]);
-        }
-        effect.n_ln = n_ln_dirty;
-        effect.input_comm = input_dirty.then_some(self.input_comm);
-        self.last_effect = effect;
         self.resum();
         self.scores()
     }
@@ -851,75 +767,6 @@ impl<'a> DeltaEval<'a> {
     pub fn accept(&mut self) {
         assert!(self.undo.kind != UndoKind::None, "accept: no move pending");
         self.undo.kind = UndoKind::None;
-    }
-
-    /// The term-level fingerprint of the last [`apply`](Self::apply)
-    /// (meaningless before the first apply).
-    #[inline]
-    #[must_use]
-    pub fn last_effect(&self) -> MoveEffect {
-        self.last_effect
-    }
-
-    /// Scores a move from its recorded [`MoveEffect`] **without touching
-    /// state** — bit-identical to `apply(mv)` followed by `revert()`,
-    /// provided every interval the move read (its targets ±1, and
-    /// interval 0 when `effect.input_comm` is set) is unchanged since the
-    /// effect was captured. The caller owns that validity judgement (the
-    /// candidate-list layer tracks it with per-interval epochs); this
-    /// method just replays the exact summation sequence `apply` would
-    /// run: the same substituted term values, the same Kahan fold for
-    /// latency, the same left-to-right fold for the log terms.
-    #[must_use]
-    pub fn replay(&mut self, effect: &MoveEffect) -> Scores {
-        /// Builds the post-move term sequence into `buf`: the pre-move
-        /// terms with the slot op applied, then the point substitutions
-        /// (straight memcpy + point writes — no per-element branching, so
-        /// a replay costs two short copies and the two final folds).
-        fn build(buf: &mut Vec<f64>, pre: &[f64], subs: &[(usize, f64)], slot: SlotChange) {
-            buf.clear();
-            match slot {
-                SlotChange::None => buf.extend_from_slice(pre),
-                SlotChange::Removed { at } => {
-                    buf.extend_from_slice(&pre[..at]);
-                    buf.extend_from_slice(&pre[at + 1..]);
-                }
-                SlotChange::Inserted { at } => {
-                    buf.extend_from_slice(&pre[..at]);
-                    buf.push(f64::NAN); // always substituted below
-                    buf.extend_from_slice(&pre[at..]);
-                }
-            }
-            for &(i, v) in subs {
-                buf[i] = v;
-            }
-        }
-        let mut cost_buf = std::mem::take(&mut self.replay_cost);
-        let mut ln_buf = std::mem::take(&mut self.replay_ln);
-        build(
-            &mut cost_buf,
-            &self.cost_terms,
-            &effect.cost[..effect.n_cost],
-            effect.slot,
-        );
-        build(
-            &mut ln_buf,
-            &self.ln_terms,
-            &effect.ln[..effect.n_ln],
-            effect.slot,
-        );
-        let input = effect.input_comm.unwrap_or(self.input_comm);
-        let latency = input + kahan_sum(cost_buf.iter().copied());
-        let mut ln_success = 0.0f64;
-        for &t in &ln_buf {
-            ln_success += t;
-        }
-        self.replay_cost = cost_buf;
-        self.replay_ln = ln_buf;
-        Scores {
-            latency,
-            ln_success,
-        }
     }
 
     fn save_alloc_a(&mut self, j: usize) {
@@ -1056,56 +903,6 @@ mod tests {
             assert_eq!(de.scores(), before, "revert must restore scores for {mv:?}");
             assert_eq!(de.mapping(), base, "revert must restore the mapping");
             assert_state_exact(&de, &pipe, &pf);
-        }
-    }
-
-    #[test]
-    fn replayed_effects_are_bit_identical_to_apply() {
-        let (pipe, pf) = het();
-        let ctx = EvalContext::new(&pipe, &pf);
-        let base = sample_mapping();
-        let moves = [
-            Move::ShiftRight { j: 0 },
-            Move::ShiftLeft { j: 0 },
-            Move::Merge { j: 0 },
-            Move::Split { j: 1, cut: 2 },
-            Move::Grow { j: 0, proc: p(2) },
-            Move::Shrink { j: 1, r: 1 },
-            Move::Swap {
-                j: 1,
-                r: 0,
-                proc: p(2),
-            },
-            Move::Migrate { j: 1, r: 0, to: 0 },
-        ];
-        for mv in moves {
-            // Grow/Swap need a free processor: use a base leaving p2 free.
-            let base = if matches!(mv, Move::Grow { .. } | Move::Swap { .. }) {
-                IntervalMapping::new(
-                    vec![Interval::new(0, 1).unwrap(), Interval::new(2, 3).unwrap()],
-                    vec![vec![p(0), p(3)], vec![p(1), p(4)]],
-                    4,
-                    5,
-                )
-                .unwrap()
-            } else {
-                base.clone()
-            };
-            let mut de = DeltaEval::new(&ctx, &base);
-            let applied = de.apply(mv);
-            let effect = de.last_effect();
-            de.revert();
-            let replayed = de.replay(&effect);
-            assert_eq!(
-                applied.latency.to_bits(),
-                replayed.latency.to_bits(),
-                "latency replay must be bit-identical for {mv:?}"
-            );
-            assert_eq!(
-                applied.ln_success.to_bits(),
-                replayed.ln_success.to_bits(),
-                "ln replay must be bit-identical for {mv:?}"
-            );
         }
     }
 

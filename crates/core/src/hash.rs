@@ -18,7 +18,6 @@ use crate::stage::Pipeline;
 
 const FNV_OFFSET_A: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_OFFSET_B: u64 = 0x6c62_272e_07bb_0142;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// Lane multipliers: dense odd constants (golden ratio, xxHash's prime 2).
 const MIX_A: u64 = 0x9e37_79b9_7f4a_7c15;
 const MIX_B: u64 = 0xc2b2_ae3d_27d4_eb4f;
@@ -112,43 +111,6 @@ impl CanonicalHasher {
     #[must_use]
     pub fn finish(&self) -> u128 {
         (u128::from(avalanche(self.a)) << 64) | u128::from(avalanche(self.b))
-    }
-}
-
-/// [`std::hash::Hasher`] over the same FNV-1a stream (single 64-bit
-/// lane) — for hot hash-map keys where SipHash's per-lookup cost is
-/// measurable (e.g. the candidate-list move cache). Not for canonical
-/// cross-process digests; that is [`CanonicalHasher`]'s job.
-#[derive(Clone, Debug)]
-pub struct FnvHasher(u64);
-
-impl Default for FnvHasher {
-    fn default() -> Self {
-        FnvHasher(FNV_OFFSET_A)
-    }
-}
-
-impl std::hash::Hasher for FnvHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
-    }
-}
-
-/// [`std::hash::BuildHasher`] producing [`FnvHasher`]s.
-#[derive(Clone, Debug, Default)]
-pub struct FnvBuildHasher;
-
-impl std::hash::BuildHasher for FnvBuildHasher {
-    type Hasher = FnvHasher;
-
-    fn build_hasher(&self) -> FnvHasher {
-        FnvHasher::default()
     }
 }
 

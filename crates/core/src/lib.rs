@@ -79,7 +79,7 @@ pub mod trace;
 pub use backoff::JitteredBackoff;
 pub use budget::{Budget, BudgetPoller, CancelHandle};
 pub use error::{CoreError, Result};
-pub use eval::{DeltaEval, EvalContext, Move, MoveEffect, Scores, SlotChange};
+pub use eval::{DeltaEval, EvalContext, Move, Scores};
 pub use hash::{CanonicalDigest, CanonicalHasher};
 pub use mapping::{GeneralMapping, Interval, IntervalMapping, OneToOneMapping};
 pub use metrics::{
@@ -96,7 +96,7 @@ pub mod prelude {
     pub use crate::backoff::JitteredBackoff;
     pub use crate::budget::{Budget, BudgetPoller, CancelHandle};
     pub use crate::error::{CoreError, Result};
-    pub use crate::eval::{DeltaEval, EvalContext, Move, MoveEffect, Scores, SlotChange};
+    pub use crate::eval::{DeltaEval, EvalContext, Move, Scores};
     pub use crate::hash::{CanonicalDigest, CanonicalHasher};
     pub use crate::intervals::{count_partitions, IntervalPartitions, PartitionsWithParts};
     pub use crate::mapping::{GeneralMapping, Interval, IntervalMapping, OneToOneMapping};

@@ -9,6 +9,15 @@
 //! pool. Threshold queries are reads off a front — fresh fronts are
 //! engine answers, cached ones replay with their original
 //! [`Provenance`].
+//!
+//! Every front consumer — `Solve`, `Pareto`, the explanation oracle and
+//! the batch warm-up — reads fronts through one lookup (the cache read
+//! under a usability rule, traced as `cache.lookup kind=front`), and every
+//! front the service solves lands through one completeness-aware store
+//! that also fires the fleet replication hook. On a miss, `Pareto`, the
+//! oracle and the warm-up build the front with one [`Want::Front`] engine
+//! call; `Solve` asks the engine for its point and stores the front built
+//! along the way.
 
 use crate::admission::{Admission, ServingOptions};
 use crate::cache::{CachedEntry, CachedFront, CachedResult, SolutionCache};
@@ -589,18 +598,17 @@ impl SolverService {
         trace: Option<TraceScope<'_>>,
     ) -> Response {
         let key = use_cache.then(|| instance_key(pipeline, platform));
+        let infeasible = |mut meta: Meta, message: String| {
+            if explain {
+                let explanation =
+                    self.build_explanation(pipeline, platform, objective, budget, use_cache, trace);
+                meta.explain = Some(ExplainResult::from_explanation(&explanation));
+            }
+            Response::infeasible(id, objective, message, meta)
+        };
 
         // 1. Answer from a cached front when one is usable.
-        let lookup_start = trace.map(|scope| scope.trace.elapsed_us());
-        let cached = key.and_then(|k| self.usable_cached_front(k, budget));
-        cache_span(
-            trace,
-            "front",
-            lookup_start,
-            cached.is_some(),
-            cached.as_ref().map(|hit| hit.complete),
-        );
-        if let Some(hit) = cached {
+        if let Some(hit) = self.lookup_front(key, FrontRule::Usable(budget), trace) {
             if let Some(sol) = threshold_read(&hit.front, objective) {
                 return Response::ok(
                     id,
@@ -610,17 +618,9 @@ impl SolverService {
             }
             if hit.complete {
                 // A complete front proves infeasibility.
-                let mut meta = self.meta(true, Some(hit.solver), Some(true), start);
-                if explain {
-                    meta.explain = Some(self.attach_explanation(
-                        pipeline, platform, objective, budget, use_cache, trace,
-                    ));
-                }
-                return Response::infeasible(
-                    id,
-                    objective,
+                return infeasible(
+                    self.meta(true, Some(hit.solver), Some(true), start),
                     format!("no mapping satisfies {objective:?}"),
-                    meta,
                 );
             }
             // Incomplete front with no satisfying point: solve fresh.
@@ -637,34 +637,18 @@ impl SolverService {
         //    dispatch at ≲1% of a solve), accepted to keep the
         //    cache-policy decision out of the engine.
         let keep_front = key.is_some() && self.engine.front_backend(pipeline, platform).is_some();
-        let qkey = (!keep_front)
+        let qkey = (use_cache && !keep_front)
             .then(|| {
-                use_cache
-                    .then(|| {
-                        Command::Solve {
-                            pipeline: pipeline.clone(),
-                            platform: platform.clone(),
-                            objective,
-                        }
-                        .cache_key()
-                    })
-                    .flatten()
+                Command::Solve {
+                    pipeline: pipeline.clone(),
+                    platform: platform.clone(),
+                    objective,
+                }
+                .cache_key()
             })
             .flatten();
-        if let Some(k) = qkey {
-            let lookup_start = trace.map(|scope| scope.trace.elapsed_us());
-            let hit = match self.cache.get(k) {
-                Some(CachedEntry::Result(hit)) => Some(hit),
-                _ => None,
-            };
-            cache_span(trace, "result", lookup_start, hit.is_some(), None);
-            if let Some(hit) = hit {
-                return Response::ok(
-                    id,
-                    hit.result,
-                    self.meta(true, hit.solver, hit.exact_complete, start),
-                );
-            }
+        if let Some(hit) = self.cached_result(id, qkey, start, trace) {
+            return hit;
         }
 
         // 3. One engine call answers the request, whatever the instance.
@@ -681,37 +665,32 @@ impl SolverService {
             trace,
         );
         self.solver_metrics.record(&report.stats);
-        if let (Some(k), Some(artifact)) = (key, &report.front) {
-            let write_start = trace.map(|scope| scope.trace.elapsed_us());
-            self.store_front(
-                pipeline,
-                platform,
-                k,
-                Arc::clone(&artifact.front),
-                artifact.complete,
-                artifact.provenance,
-                artifact.exact_capable,
-            );
-            cache_write_span(trace, "front", write_start, Some(artifact.complete));
+        if let (Some(k), Some(artifact)) = (key, report.front) {
+            let entry = CachedFront {
+                front: artifact.front,
+                complete: artifact.complete,
+                solver: artifact.provenance,
+                exact_capable: artifact.exact_capable,
+            };
+            self.store_front(pipeline, platform, k, &entry, trace);
         }
         let completeness = report.completeness;
-        match report.answer {
-            Answer::Point(Some(sol)) => {
+        let Answer::Point(answer) = report.answer else {
+            unreachable!("point request yields a point answer");
+        };
+        match answer {
+            Some(sol) => {
                 let result = solve_result(sol);
                 // Cutoff answers may be beaten by a rerun with more
                 // budget; never let them poison the cache. (Front-backed
-                // answers cache the front above instead.)
-                if report.front.is_none() {
-                    if let (Some(k), true) = (qkey, completeness.cacheable_point()) {
-                        self.cache.insert(
-                            k,
-                            CachedEntry::Result(CachedResult {
-                                result: result.clone(),
-                                solver: report.provenance,
-                                exact_complete: Some(completeness.exact_complete),
-                            }),
-                        );
-                    }
+                // answers have no query key: their front is cached above.)
+                if let (Some(k), true) = (qkey, completeness.cacheable_point()) {
+                    self.store_result(
+                        k,
+                        result.clone(),
+                        report.provenance,
+                        completeness.exact_complete,
+                    );
                 }
                 Response::ok(
                     id,
@@ -724,46 +703,23 @@ impl SolverService {
                     ),
                 )
             }
-            Answer::Point(None) if completeness.exact_complete => {
-                let mut meta = self.meta_plain(start);
-                if explain {
-                    meta.explain = Some(self.attach_explanation(
-                        pipeline, platform, objective, budget, use_cache, trace,
-                    ));
-                }
-                Response::infeasible(
-                    id,
-                    objective,
-                    format!("no mapping satisfies {objective:?}"),
-                    meta,
-                )
-            }
-            Answer::Point(None) if budget.is_exhausted() => Response::error(
+            None if completeness.exact_complete => infeasible(
+                self.meta_plain(start),
+                format!("no mapping satisfies {objective:?}"),
+            ),
+            None if budget.is_exhausted() => Response::error(
                 id,
                 ErrorKind::Timeout,
                 "deadline expired before any feasible solution was found",
                 self.meta_plain(start),
             ),
-            Answer::Point(None) => {
-                let mut meta = self.meta_plain(start);
-                if explain {
-                    meta.explain = Some(self.attach_explanation(
-                        pipeline, platform, objective, budget, use_cache, trace,
-                    ));
-                }
-                Response::infeasible(
-                    id,
-                    objective,
-                    format!(
-                        "no feasible solution found for {objective:?} \
-                         (heuristic search; not a proof of infeasibility)"
-                    ),
-                    meta,
-                )
-            }
-            Answer::Front(_) | Answer::Explain(_) => {
-                unreachable!("point request yields a point answer")
-            }
+            None => infeasible(
+                self.meta_plain(start),
+                format!(
+                    "no feasible solution found for {objective:?} \
+                     (heuristic search; not a proof of infeasibility)"
+                ),
+            ),
         }
     }
 
@@ -807,24 +763,6 @@ impl SolverService {
             ExplainResult::from_explanation(&explanation).to_value(),
             meta,
         )
-    }
-
-    /// Builds the opt-in `meta.explain` payload attached to infeasible
-    /// `Solve` responses: the same explanation a standalone `Explain`
-    /// command returns, from the same oracle, so the two renderings are
-    /// byte-identical.
-    fn attach_explanation(
-        &self,
-        pipeline: &Pipeline,
-        platform: &Platform,
-        objective: Objective,
-        budget: &Budget,
-        use_cache: bool,
-        trace: Option<TraceScope<'_>>,
-    ) -> ExplainResult {
-        let explanation =
-            self.build_explanation(pipeline, platform, objective, budget, use_cache, trace);
-        ExplainResult::from_explanation(&explanation)
     }
 
     /// Runs the MARCO enumeration and the relaxation read against the
@@ -909,50 +847,18 @@ impl SolverService {
             return;
         }
         let key = use_cache.then(|| instance_key(pipeline, platform));
-
-        let lookup_start = trace.map(|scope| scope.trace.elapsed_us());
-        let cached = key.and_then(|k| self.usable_cached_front(k, budget));
-        cache_span(
-            trace,
-            "front",
-            lookup_start,
-            cached.is_some(),
-            cached.as_ref().map(|hit| hit.complete),
-        );
-        let (entry, cache_hit) = match cached {
+        let (entry, cache_hit) = match self.lookup_front(key, FrontRule::Usable(budget), trace) {
             Some(hit) => (hit, true),
             None => {
                 if let Some(timeout) = self.doomed_solve(id, budget, start) {
                     emit(timeout);
                     return;
                 }
-                // One engine call: the exact front backend where one
-                // applies, the heuristic portfolio sweep beyond — the
-                // command answers on every instance, flagged by
-                // completeness.
-                let report = self.engine.solve_traced(
-                    &SolveRequest {
-                        pipeline,
-                        platform,
-                        want: match chunk {
-                            Some(chunk) => Want::FrontStream { chunk },
-                            None => Want::Front,
-                        },
-                        budget,
-                    },
-                    trace,
-                );
-                self.solver_metrics.record(&report.stats);
-                let complete = report.completeness.exact_complete;
-                let exact_capable = report.completeness.exact_capable;
-                let solver = report.provenance.unwrap_or(Provenance::Heuristic);
-                let front = match report.answer {
-                    Answer::Front(front) => front,
-                    Answer::Point(_) | Answer::Explain(_) => {
-                        unreachable!("front request yields a front answer")
-                    }
-                };
-                if front.is_empty() && !complete {
+                // The exact front backend where one applies, the
+                // heuristic portfolio sweep beyond — the command answers
+                // on every instance, flagged by completeness.
+                let built = self.build_front(pipeline, platform, key, budget, trace);
+                if built.front.is_empty() && !built.complete {
                     emit(Response::error(
                         id,
                         ErrorKind::Timeout,
@@ -961,28 +867,7 @@ impl SolverService {
                     ));
                     return;
                 }
-                if let Some(k) = key {
-                    let write_start = trace.map(|scope| scope.trace.elapsed_us());
-                    self.store_front(
-                        pipeline,
-                        platform,
-                        k,
-                        Arc::clone(&front),
-                        complete,
-                        solver,
-                        exact_capable,
-                    );
-                    cache_write_span(trace, "front", write_start, Some(complete));
-                }
-                (
-                    CachedFront {
-                        front,
-                        complete,
-                        solver,
-                        exact_capable,
-                    },
-                    false,
-                )
+                (built, false)
             }
         };
 
@@ -1048,20 +933,8 @@ impl SolverService {
                 .cache_key()
             })
             .flatten();
-        if let Some(k) = qkey {
-            let lookup_start = trace.map(|scope| scope.trace.elapsed_us());
-            let hit = match self.cache.get(k) {
-                Some(CachedEntry::Result(hit)) => Some(hit),
-                _ => None,
-            };
-            cache_span(trace, "result", lookup_start, hit.is_some(), None);
-            if let Some(hit) = hit {
-                return Response::ok(
-                    id,
-                    hit.result,
-                    self.meta(true, hit.solver, hit.exact_complete, start),
-                );
-            }
+        if let Some(hit) = self.cached_result(id, qkey, start, trace) {
+            return hit;
         }
         if let Some(timeout) = self.doomed_solve(id, budget, start) {
             return timeout;
@@ -1105,14 +978,7 @@ impl SolverService {
         // A cut-off sample is a valid but smaller estimate; never cache it
         // in place of the full run.
         if let (Some(k), true) = (qkey, complete) {
-            self.cache.insert(
-                k,
-                CachedEntry::Result(CachedResult {
-                    result: result.clone(),
-                    solver: Some(Provenance::Exact),
-                    exact_complete: Some(complete),
-                }),
-            );
+            self.store_result(k, result.clone(), Some(Provenance::Exact), complete);
         }
         Response::ok(
             id,
@@ -1332,51 +1198,154 @@ impl SolverService {
 
     // -- Front cache -------------------------------------------------------
 
-    /// A cached front usable for this request: complete fronts always;
-    /// incomplete fronts only when the request itself carries a
-    /// **deadline** (best-effort is the contract anyway — a mere
-    /// cancellation link, which every TCP request has, does not count) or
-    /// when no exact backend could do better. Never lets a cutoff
-    /// masquerade as exact — the entry's `complete` flag travels into
-    /// `meta.exact_complete`.
-    fn usable_cached_front(&self, key: u128, budget: &Budget) -> Option<CachedFront> {
-        let deadline_bound = budget.remaining().is_some();
-        match self.cache.get(key) {
+    /// The front lookup every front consumer starts with: the cache read
+    /// under `rule`, recorded as a `cache.lookup kind=front` span. The
+    /// entry's `complete` flag travels into `meta.exact_complete`, so a
+    /// cutoff never masquerades as exact.
+    fn lookup_front(
+        &self,
+        key: Option<u128>,
+        rule: FrontRule<'_>,
+        trace: Option<TraceScope<'_>>,
+    ) -> Option<CachedFront> {
+        let lookup_start = trace.map(|scope| scope.trace.elapsed_us());
+        let hit = key.and_then(|k| match self.cache.get(k) {
             Some(CachedEntry::Front(hit)) => {
-                (hit.complete || deadline_bound || !hit.exact_capable).then_some(hit)
+                let usable = match rule {
+                    FrontRule::Usable(budget) => {
+                        hit.complete || budget.remaining().is_some() || !hit.exact_capable
+                    }
+                    FrontRule::CompleteOnly => hit.complete,
+                };
+                usable.then_some(hit)
             }
             _ => None,
-        }
+        });
+        cache_span(
+            trace,
+            "front",
+            lookup_start,
+            hit.is_some(),
+            hit.as_ref().map(|hit| hit.complete),
+        );
+        hit
     }
 
-    /// Caches a **locally solved** front and, when it landed and is
-    /// complete, fires the fleet replication hook so the key's ring
-    /// successor gets a `CacheFill`. Fronts arriving *via* `CacheFill` go
-    /// through [`store_front_raw`](Self::store_front_raw) instead — fills
-    /// are terminal, never re-replicated.
-    #[allow(clippy::too_many_arguments)]
+    /// The front build behind `Pareto`, the explanation oracle and the
+    /// batch warm-up: one [`Want::Front`] engine call under `budget`, its
+    /// solver metrics, and — when `key` is set — the store below.
+    fn build_front(
+        &self,
+        pipeline: &Pipeline,
+        platform: &Platform,
+        key: Option<u128>,
+        budget: &Budget,
+        trace: Option<TraceScope<'_>>,
+    ) -> CachedFront {
+        let report = self.engine.solve_traced(
+            &SolveRequest {
+                pipeline,
+                platform,
+                want: Want::Front,
+                budget,
+            },
+            trace,
+        );
+        self.solver_metrics.record(&report.stats);
+        let Answer::Front(front) = report.answer else {
+            unreachable!("front request yields a front answer");
+        };
+        let entry = CachedFront {
+            front,
+            complete: report.completeness.exact_complete,
+            solver: report
+                .provenance
+                .expect("front plans name their provenance"),
+            exact_capable: report.completeness.exact_capable,
+        };
+        // An empty cutoff holds no answer to share (the insert would
+        // refuse it, and `Pareto` reports it as a timeout): no write.
+        if let Some(key) = key.filter(|_| entry.complete || !entry.front.is_empty()) {
+            self.store_front(pipeline, platform, key, &entry, trace);
+        }
+        entry
+    }
+
+    /// Caches a **locally solved** front, fires the fleet replication hook
+    /// when it landed complete (so the key's ring successor gets a
+    /// `CacheFill`), and records the `cache.write` span. Fronts arriving
+    /// *via* `CacheFill` go through [`store_front_raw`](Self::store_front_raw)
+    /// instead — fills are terminal, never re-replicated.
     fn store_front(
         &self,
         pipeline: &Pipeline,
         platform: &Platform,
         key: u128,
-        front: Arc<ParetoFront<IntervalMapping>>,
-        complete: bool,
-        solver: Provenance,
-        exact_capable: bool,
+        entry: &CachedFront,
+        trace: Option<TraceScope<'_>>,
     ) {
-        let entry = CachedFront {
-            front,
-            complete,
-            solver,
-            exact_capable,
-        };
-        let stored = self.store_front_raw(key, entry.clone());
-        if stored && complete {
+        let write_start = trace.map(|scope| scope.trace.elapsed_us());
+        if self.store_front_raw(key, entry.clone()) && entry.complete {
             if let Some(hook) = self.front_stored.get() {
-                hook(pipeline, platform, key, &entry);
+                hook(pipeline, platform, key, entry);
             }
         }
+        if let Some(scope) = trace {
+            let start = write_start.unwrap_or(0);
+            scope.trace.add(
+                "cache.write",
+                Some(scope.parent),
+                start,
+                scope.trace.elapsed_us().saturating_sub(start),
+                vec![
+                    ("kind".to_owned(), "front".to_owned()),
+                    ("complete".to_owned(), entry.complete.to_string()),
+                ],
+            );
+        }
+    }
+
+    /// The per-query result read behind `Solve` (when no front is shared)
+    /// and `Simulate`, recorded as a `cache.lookup kind=result` span: the
+    /// cached response, on a hit.
+    fn cached_result(
+        &self,
+        id: Option<u64>,
+        qkey: Option<u128>,
+        start: Instant,
+        trace: Option<TraceScope<'_>>,
+    ) -> Option<Response> {
+        let qkey = qkey?;
+        let lookup_start = trace.map(|scope| scope.trace.elapsed_us());
+        let hit = match self.cache.get(qkey) {
+            Some(CachedEntry::Result(hit)) => Some(hit),
+            _ => None,
+        };
+        cache_span(trace, "result", lookup_start, hit.is_some(), None);
+        hit.map(|hit| {
+            Response::ok(
+                id,
+                hit.result,
+                self.meta(true, hit.solver, hit.exact_complete, start),
+            )
+        })
+    }
+
+    /// Caches a per-query result. Callers store complete answers only: a
+    /// cutoff may be beaten by a rerun and must never poison the cache.
+    fn store_result(
+        &self,
+        qkey: u128,
+        result: serde::Value,
+        solver: Option<Provenance>,
+        exact_complete: bool,
+    ) {
+        let entry = CachedResult {
+            result,
+            solver,
+            exact_complete: Some(exact_complete),
+        };
+        self.cache.insert(qkey, CachedEntry::Result(entry));
     }
 
     /// Inserts a front, never letting an incomplete one replace a complete
@@ -1469,35 +1438,14 @@ impl SolverService {
             return;
         }
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let key = instance_key(pipeline, platform);
-            if let Some(CachedEntry::Front(hit)) = self.cache.get(key) {
-                if hit.complete || !hit.exact_capable {
-                    return;
-                }
-            }
-            if self.engine.front_backend(pipeline, platform).is_none() {
-                return;
-            }
-            let report = self.engine.solve(&SolveRequest {
-                pipeline,
-                platform,
-                want: Want::Front,
-                budget: &Budget::unlimited(),
-            });
-            self.solver_metrics.record(&report.stats);
-            let complete = report.completeness.exact_complete;
-            let provenance = report.provenance.unwrap_or(Provenance::Exact);
-            let exact_capable = report.completeness.exact_capable;
-            if let Answer::Front(front) = report.answer {
-                self.store_front(
-                    pipeline,
-                    platform,
-                    key,
-                    front,
-                    complete,
-                    provenance,
-                    exact_capable,
-                );
+            let key = Some(instance_key(pipeline, platform));
+            let budget = Budget::unlimited();
+            if self
+                .lookup_front(key, FrontRule::Usable(&budget), None)
+                .is_none()
+                && self.engine.front_backend(pipeline, platform).is_some()
+            {
+                self.build_front(pipeline, platform, key, &budget, None);
             }
         }));
     }
@@ -1553,6 +1501,19 @@ impl SolverService {
     }
 }
 
+/// Which cached fronts a front consumer may read.
+#[derive(Clone, Copy)]
+enum FrontRule<'a> {
+    /// `Solve`, `Pareto` and the batch warm-up: complete fronts always;
+    /// incomplete ones only when the request itself carries a
+    /// **deadline** (best-effort is the contract anyway — a mere
+    /// cancellation link, which every TCP request has, does not count) or
+    /// when no exact backend could do better.
+    Usable(&'a Budget),
+    /// Explanations: complete fronts only (see [`ServiceOracle`]).
+    CompleteOnly,
+}
+
 /// The service-side sat oracle behind explanations: engine front solves
 /// with the front cache in the loop. Only **complete** cached fronts are
 /// served from the cache — an incomplete front's shape depends on which
@@ -1570,46 +1531,21 @@ struct ServiceOracle<'a> {
 impl FrontOracle for ServiceOracle<'_> {
     fn front(&mut self, pipeline: &Pipeline, platform: &Platform, _variant: u8) -> OracleFront {
         let key = self.use_cache.then(|| instance_key(pipeline, platform));
-        if let Some(k) = key {
-            if let Some(CachedEntry::Front(hit)) = self.service.cache.get(k) {
-                if hit.complete {
-                    return OracleFront {
-                        front: hit.front,
-                        complete: true,
-                        cached: true,
-                    };
-                }
-            }
-        }
-        let report = self.service.engine.solve(&SolveRequest {
-            pipeline,
-            platform,
-            want: Want::Front,
-            budget: self.budget,
-        });
-        self.service.solver_metrics.record(&report.stats);
-        let complete = report.completeness.exact_complete;
-        let exact_capable = report.completeness.exact_capable;
-        let solver = report.provenance.unwrap_or(Provenance::Heuristic);
-        let front = report
-            .front_answer()
-            .cloned()
-            .unwrap_or_else(|| Arc::new(ParetoFront::new()));
-        if let Some(k) = key {
-            self.service.store_front(
-                pipeline,
-                platform,
-                k,
-                Arc::clone(&front),
-                complete,
-                solver,
-                exact_capable,
-            );
-        }
+        let (entry, cached) = match self
+            .service
+            .lookup_front(key, FrontRule::CompleteOnly, None)
+        {
+            Some(hit) => (hit, true),
+            None => (
+                self.service
+                    .build_front(pipeline, platform, key, self.budget, None),
+                false,
+            ),
+        };
         OracleFront {
-            front,
-            complete,
-            cached: false,
+            front: entry.front,
+            complete: entry.complete,
+            cached,
         }
     }
 }
@@ -1635,28 +1571,6 @@ fn cache_span(
     }
     scope.trace.add(
         "cache.lookup",
-        Some(scope.parent),
-        start,
-        scope.trace.elapsed_us().saturating_sub(start),
-        attrs,
-    );
-}
-
-/// Records a `cache.write` span covering a finished insert.
-fn cache_write_span(
-    trace: Option<TraceScope<'_>>,
-    kind: &str,
-    start_us: Option<u64>,
-    complete: Option<bool>,
-) {
-    let Some(scope) = trace else { return };
-    let start = start_us.unwrap_or(0);
-    let mut attrs = vec![("kind".to_owned(), kind.to_owned())];
-    if let Some(complete) = complete {
-        attrs.push(("complete".to_owned(), complete.to_string()));
-    }
-    scope.trace.add(
-        "cache.write",
         Some(scope.parent),
         start,
         scope.trace.elapsed_us().saturating_sub(start),
@@ -2474,6 +2388,139 @@ mod tests {
             metrics.contains("rpwf_explain_oracle_cached_total"),
             "{metrics}"
         );
+    }
+
+    /// Caches one point of the instance's exact front as an incomplete
+    /// front of an exact-capable instance (what a budget-cut solve
+    /// leaves behind) and returns that point's latency.
+    fn seed_one_exact_point(svc: &SolverService, pipeline: &Pipeline, platform: &Platform) -> f64 {
+        let exact = svc.engine().solve(&SolveRequest {
+            pipeline,
+            platform,
+            want: Want::Front,
+            budget: &Budget::unlimited(),
+        });
+        let point = exact.front_answer().expect("front answer").points()[0].clone();
+        let mut front = ParetoFront::new();
+        front.insert(point.latency, point.failure_prob, point.payload);
+        let mut fill = solve_request(0, 0.0);
+        fill.cmd = Command::CacheFill {
+            pipeline: pipeline.clone(),
+            platform: platform.clone(),
+            front,
+            complete: false,
+            solver: Provenance::Exact,
+            exact_capable: true,
+        };
+        let resp = svc.handle(fill, Instant::now());
+        assert_eq!(resp.status, "ok", "{:?}", resp.error);
+        point.latency
+    }
+
+    #[test]
+    fn each_front_consumer_applies_its_cache_rule_to_an_incomplete_front() {
+        let pipeline = rpwf_gen::figure5_pipeline();
+        let platform = rpwf_gen::figure5_platform();
+        let seeded = || {
+            let svc = service();
+            let latency = seed_one_exact_point(&svc, &pipeline, &platform);
+            (svc, latency)
+        };
+        let with_deadline = |mut req: Request, deadline: Option<u64>| {
+            req.deadline_ms = deadline;
+            req
+        };
+        let pareto = |deadline| {
+            let mut req = solve_request(2, 0.0);
+            req.cmd = Command::Pareto {
+                pipeline: pipeline.clone(),
+                platform: platform.clone(),
+                chunk: None,
+            };
+            with_deadline(req, deadline)
+        };
+
+        // Without a deadline, Solve and Pareto re-solve past the
+        // incomplete front; with one, they read it as a best effort.
+        for (deadline, cache_hit, exact_complete) in
+            [(None, false, true), (Some(60_000), true, false)]
+        {
+            let (svc, latency) = seeded();
+            let solve = svc.handle(
+                with_deadline(solve_request(1, latency), deadline),
+                Instant::now(),
+            );
+            assert_eq!(solve.status, "ok", "{:?}", solve.error);
+            assert_eq!(
+                solve.meta.cache_hit, cache_hit,
+                "solve, deadline {deadline:?}"
+            );
+            assert_eq!(solve.meta.exact_complete, Some(exact_complete));
+
+            let (svc, _) = seeded();
+            let front = svc.handle(pareto(deadline), Instant::now());
+            assert_eq!(front.status, "ok", "{:?}", front.error);
+            assert_eq!(
+                front.meta.cache_hit, cache_hit,
+                "pareto, deadline {deadline:?}"
+            );
+            assert_eq!(front.meta.exact_complete, Some(exact_complete));
+            if cache_hit {
+                let points = front.result.as_ref().and_then(|r| r.get("points"));
+                assert_eq!(
+                    points.and_then(serde::Value::as_seq).map(<[_]>::len),
+                    Some(1)
+                );
+            }
+        }
+
+        // Explanations read complete fronts only, deadline or not: the
+        // payload matches an unseeded service's byte for byte.
+        let explain = |id| {
+            let req = impossible_request(id, |pipeline, platform, objective| Command::Explain {
+                pipeline,
+                platform,
+                objective,
+            });
+            with_deadline(req, Some(60_000))
+        };
+        let Command::Explain {
+            pipeline: impossible_pipeline,
+            platform: impossible_platform,
+            ..
+        } = explain(0).cmd
+        else {
+            unreachable!("explain request")
+        };
+        let svc = service();
+        seed_one_exact_point(&svc, &impossible_pipeline, &impossible_platform);
+        let from_seeded = svc.handle(explain(1), Instant::now());
+        let from_fresh = service().handle(explain(1), Instant::now());
+        assert_eq!(from_seeded.status, "ok", "{:?}", from_seeded.error);
+        // Relaxed variants of this homogeneous platform share its instance
+        // key, so even the unseeded service reports a hit: the seeded entry
+        // must add nothing to what it sees.
+        assert_eq!(from_seeded.meta.cache_hit, from_fresh.meta.cache_hit);
+        assert_eq!(from_seeded.meta.exact_complete, Some(true), "proven");
+        assert_eq!(
+            serde_json::to_string(&from_seeded.result).expect("serializes"),
+            serde_json::to_string(&from_fresh.result).expect("serializes"),
+        );
+
+        // The batch warm-up replaces the incomplete front with the exact
+        // one, so both grouped queries read a complete front.
+        let (svc, latency) = seeded();
+        let pool = WorkerPool::new(Arc::new(svc));
+        let lines = [solve_request(1, latency), solve_request(2, latency * 1.5)]
+            .iter()
+            .map(|req| serde_json::to_string(req).expect("serializes"))
+            .collect();
+        for line in pool.submit_batch(lines) {
+            let resp: Response = serde_json::from_str(&line).expect("parses");
+            assert_eq!(resp.status, "ok", "{:?}", resp.error);
+            assert!(resp.meta.cache_hit, "answered by the warmed front");
+            assert_eq!(resp.meta.exact_complete, Some(true));
+        }
     }
 
     #[test]

@@ -17,6 +17,7 @@
 //! `src/bin/rpwf.rs` is a thin wrapper.
 
 use rpwf_algo::engine::{Engine, SolveRequest, Want};
+use rpwf_algo::explain::{self, EngineOracle};
 use rpwf_algo::{Objective, Provenance};
 use rpwf_core::budget::Budget;
 use rpwf_core::prelude::*;
@@ -721,20 +722,15 @@ pub fn run(command: &Command) -> std::result::Result<String, String> {
         } => {
             let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
             let inst = InstanceFile::from_json(&text)?;
-            // The same MARCO enumeration the server runs, against the
-            // same engine plan, so CLI and served explanations match.
+            // The same MARCO enumeration the server runs, over the same
+            // engine front solves, so CLI and served explanations match.
             let engine = Engine::with_parallel_backends(ENGINE_SEED, *solver_threads);
-            let report = engine.solve(&SolveRequest {
-                pipeline: &inst.pipeline,
-                platform: &inst.platform,
-                want: Want::Explain {
-                    objective: *objective,
-                },
-                budget: &Budget::unlimited(),
-            });
-            let explanation = report
-                .explanation()
-                .expect("explain request yields an explanation");
+            let explanation = explain::explain(
+                &inst.pipeline,
+                &inst.platform,
+                *objective,
+                &mut EngineOracle::new(&engine, &Budget::unlimited()),
+            );
             let mut out = String::new();
             if explanation.feasible {
                 writeln!(
