@@ -366,8 +366,11 @@ pub struct Completeness {
     /// That backend ran to completion: point answers are proven optimal
     /// (or proven infeasible when absent), fronts are the exact front.
     pub exact_complete: bool,
-    /// Every heuristic the plan ran finished (no budget truncation), so
-    /// a rerun with more budget could not strengthen the heuristic side.
+    /// A rerun with more budget could not strengthen the heuristic side:
+    /// every heuristic the plan ran finished (no budget truncation), or
+    /// the plan read its answer off a complete exact front, which stops
+    /// the heuristic hedge early because nothing it finds can change that
+    /// answer.
     pub heuristic_complete: bool,
 }
 
@@ -1028,10 +1031,18 @@ impl Engine {
     }
 
     /// Point-via-front plan: build the whole front with the exact backend
-    /// while the heuristic portfolio races on a second thread; answer
+    /// while the heuristic portfolio hedges on a second thread; answer
     /// from the front when it completes, otherwise take the best of the
     /// partial front and the heuristics. The front travels back as a
     /// by-product for callers that cache it.
+    ///
+    /// The hedge runs under a cancellable copy of the request budget and
+    /// is stopped as soon as the front completes: a complete front's read
+    /// is the answer whatever the heuristics find, so their remaining work
+    /// could only be thrown away. Stopped members report
+    /// [`SolverStat::complete`] `false`, while the report claims
+    /// `heuristic_complete` (nothing a rerun could strengthen). A cutoff
+    /// front leaves the hedge running to the request's own budget.
     fn plan_point_via_front(
         &self,
         req: &SolveRequest<'_>,
@@ -1041,13 +1052,21 @@ impl Engine {
         let objective = race.objective;
         let mut stats = Vec::new();
         let mut parallel = Vec::new();
+        let (hedge_budget, stop_hedge) = req.budget.clone().cancellable();
+        let hedge_req = SolveRequest {
+            budget: &hedge_budget,
+            ..*req
+        };
         let (front_outcome, heuristic, mut heuristic_stats) = crossbeam::thread::scope(|scope| {
             let heuristic = scope.spawn(|_| {
                 let mut hstats = Vec::new();
-                let outcome = race.run(req, &mut hstats);
+                let outcome = race.run(&hedge_req, &mut hstats);
                 (outcome, hstats)
             });
             let front = timed_front(backend, req, &mut stats, &mut parallel);
+            if front.is_complete() {
+                stop_hedge.cancel();
+            }
             let (heuristic, hstats) = heuristic.join().expect("heuristics do not panic");
             (front, heuristic, hstats)
         })
@@ -1055,7 +1074,7 @@ impl Engine {
         stats.append(&mut heuristic_stats);
 
         let complete = front_outcome.is_complete();
-        let heuristic_complete = heuristic.is_complete();
+        let heuristic_complete = complete || heuristic.is_complete();
         let front = Arc::new(front_outcome.into_inner());
         let exact_point = threshold_read(&front, objective);
         let (answer, provenance) = if complete {
@@ -1494,8 +1513,10 @@ impl Solver for BranchBoundSolver {
     }
 }
 
-/// The exhaustive oracle (any class, `m ≤ 6`): full enumeration with
-/// replication, yield-ordered so cutoff fronts cover the extremes first.
+/// The exhaustive oracle (any class, `n ≤ 12`, `m ≤ 6`): full enumeration
+/// with replication, yield-ordered so cutoff fronts cover the extremes
+/// first. The stage cap bounds the `2^(n−1)` partitions it lists before
+/// its first budget check at 2,048; `bnb-sweep` serves longer pipelines.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ExhaustiveSolver;
 
@@ -1512,7 +1533,7 @@ impl Solver for ExhaustiveSolver {
                 points: true,
                 fronts: true,
             },
-            max_stages: None,
+            max_stages: Some(12),
             max_procs: Some(6),
             exactness: Exactness::Anytime,
             budget_aware: true,
@@ -2241,6 +2262,17 @@ mod tests {
             engine.front_backend(&pipe, &pf).is_none(),
             "m=14 het: heuristics only"
         );
+        // The exhaustive oracle stops at 12 stages; longer het fronts sweep.
+        let (pipe, pf) = instance(PlatformClass::FullyHeterogeneous, 12, 4, 3);
+        assert_eq!(
+            engine.front_backend(&pipe, &pf).expect("n=12").name(),
+            "exhaustive"
+        );
+        let (pipe, pf) = instance(PlatformClass::FullyHeterogeneous, 40, 4, 3);
+        assert_eq!(
+            engine.front_backend(&pipe, &pf).expect("n=40").name(),
+            "bnb-sweep"
+        );
 
         // Point backends: the DP on uniform links, branch-and-bound beyond
         // (shadowing the exhaustive oracle, exactly like the legacy race).
@@ -2322,6 +2354,109 @@ mod tests {
         assert!(artifact.complete);
         // The by-product answers later queries directly.
         assert!(threshold_read(&artifact.front, Objective::MinLatencyUnderFp(0.9)).is_some());
+    }
+
+    /// A race member that does nothing but poll its budget, for up to
+    /// 2^31 polls: a heuristic whose work outlasts the front it hedges.
+    struct Spinner;
+
+    impl Solver for Spinner {
+        fn name(&self) -> &'static str {
+            "spinner"
+        }
+
+        fn capabilities(&self) -> Capabilities {
+            Capabilities {
+                classes: ClassSet::ALL,
+                objectives: ObjectiveSet::BOTH,
+                shapes: AnswerShapes {
+                    points: true,
+                    fronts: false,
+                },
+                max_stages: None,
+                max_procs: None,
+                exactness: Exactness::Heuristic,
+                budget_aware: true,
+                seedable: false,
+                race_member: true,
+                front_exact: false,
+                threads: 1,
+            }
+        }
+
+        fn solve_point(
+            &self,
+            _pipeline: &Pipeline,
+            _platform: &Platform,
+            _objective: Objective,
+            budget: &Budget,
+        ) -> Budgeted<Option<BiSolution>> {
+            for _ in 0..1u64 << 31 {
+                if budget.is_exhausted() {
+                    return Budgeted::Cutoff(None);
+                }
+            }
+            Budgeted::Complete(None)
+        }
+    }
+
+    #[test]
+    fn complete_front_stops_the_hedge() {
+        let mut engine = Engine::new(0);
+        engine.register(Arc::new(BitmaskDpSolver));
+        engine.register(Arc::new(Spinner));
+        let (pipe, pf) = instance(PlatformClass::CommHomogeneous, 3, 4, 7);
+        let objective =
+            Objective::MinFpUnderLatency(crate::mono::minimize_failure(&pipe, &pf).latency * 1.5);
+        let report = engine.solve(&SolveRequest {
+            pipeline: &pipe,
+            platform: &pf,
+            want: Want::Point {
+                objective,
+                keep_front: true,
+            },
+            budget: &Budget::unlimited(),
+        });
+        let front = crate::exact::pareto_front_comm_homog(&pipe, &pf).expect("uniform links");
+        let exact = threshold_read(&front, objective);
+        assert!(exact.is_some(), "the bound is feasible");
+        assert_eq!(report.point(), exact.as_ref());
+        assert_eq!(report.provenance, Some(Provenance::Exact));
+        assert!(report.completeness.exact_complete);
+        assert!(
+            report.completeness.heuristic_complete,
+            "a proven front leaves nothing for a rerun to strengthen"
+        );
+        let spinner = report
+            .stats
+            .iter()
+            .find(|stat| stat.solver == "spinner")
+            .expect("the hedge ran");
+        assert!(
+            !spinner.complete,
+            "the hedge stops once the front is proven"
+        );
+    }
+
+    #[test]
+    fn forty_stage_het_front_is_exact() {
+        let engine = engine();
+        let (pipe, pf) = instance(PlatformClass::FullyHeterogeneous, 40, 4, 3);
+        // Guard before the solve: at 40 stages the exhaustive oracle would
+        // list 2^39 partitions before its first budget check.
+        assert_ne!(
+            engine
+                .front_backend(&pipe, &pf)
+                .map(|backend| backend.name()),
+            Some("exhaustive")
+        );
+        let report = engine.solve(&SolveRequest {
+            pipeline: &pipe,
+            platform: &pf,
+            want: Want::Front,
+            budget: &Budget::unlimited(),
+        });
+        assert!(report.completeness.exact_complete);
     }
 
     #[test]

@@ -133,12 +133,14 @@ pub fn pareto_front_comm_homog_with_budget(
                     let fp_step = fp_cost[sub as usize];
                     let target = idx(e + 1, mask | sub);
                     for pt in source.iter() {
-                        let mut alloc = pt.payload.clone();
-                        alloc.push((e as u8, sub));
-                        states[target].insert(
+                        states[target].insert_with(
                             pt.latency + lat_step,
                             pt.failure_prob + fp_step,
-                            alloc,
+                            || {
+                                let mut alloc = pt.payload.clone();
+                                alloc.push((e as u8, sub));
+                                alloc
+                            },
                         );
                     }
                     sub = (sub - 1) & free;
@@ -157,8 +159,7 @@ pub fn pareto_front_comm_homog_with_budget(
         for pt in states[idx(n, mask)].iter() {
             let latency = pt.latency + out_comm;
             let fp = -(-pt.failure_prob).exp_m1();
-            let mapping = decode(&pt.payload, n, m);
-            front.insert(latency, fp, mapping);
+            front.insert_with(latency, fp, || decode(&pt.payload, n, m));
         }
     }
     Ok(if aborted {

@@ -68,12 +68,14 @@ pub fn pareto_front_for_order(
                     let fp_step = -all_fail.one_minus().ln();
                     let target = idx(e + 1, t + k);
                     for pt in source.iter() {
-                        let mut blocks = pt.payload.clone();
-                        blocks.push((e as u8, k as u8));
-                        states[target].insert(
+                        states[target].insert_with(
                             pt.latency + lat_step,
                             pt.failure_prob + fp_step,
-                            blocks,
+                            || {
+                                let mut blocks = pt.payload.clone();
+                                blocks.push((e as u8, k as u8));
+                                blocks
+                            },
                         );
                     }
                 }
@@ -86,8 +88,9 @@ pub fn pareto_front_for_order(
     let mut front = ParetoFront::new();
     for t in 1..=m {
         for pt in states[idx(n, t)].iter() {
-            let mapping = decode(&pt.payload, order, n, platform.n_procs());
-            front.insert(pt.latency + out_comm, -(-pt.failure_prob).exp_m1(), mapping);
+            front.insert_with(pt.latency + out_comm, -(-pt.failure_prob).exp_m1(), || {
+                decode(&pt.payload, order, n, platform.n_procs())
+            });
         }
     }
     Ok(front)

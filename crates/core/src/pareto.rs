@@ -81,20 +81,38 @@ impl<T> ParetoFront<T> {
     /// Offers a candidate. Returns `true` when it joins the front (possibly
     /// evicting dominated incumbents), `false` when an incumbent dominates
     /// or duplicates it.
+    ///
+    /// Coordinates must not be NaN. Model values never are: instances are
+    /// validated when they are decoded or built.
     pub fn insert(&mut self, latency: f64, failure_prob: f64, payload: T) -> bool {
+        self.insert_with(latency, failure_prob, || payload)
+    }
+
+    /// [`insert`](Self::insert) that builds the payload only when the
+    /// candidate joins the front, so callers offering many candidates pay
+    /// for the few that survive. A rejection costs one binary search.
+    /// Returns `true` exactly when `payload` was called.
+    ///
+    /// Coordinates must not be NaN (see [`insert`](Self::insert)).
+    pub fn insert_with(
+        &mut self,
+        latency: f64,
+        failure_prob: f64,
+        payload: impl FnOnce() -> T,
+    ) -> bool {
+        // FP strictly decreases along the latency-sorted points, so of
+        // the points with latency ≤ the candidate's the last has the
+        // lowest FP: the candidate is dominated or duplicated exactly
+        // when that FP is ≤ its own.
+        let at_most = self.points.partition_point(|q| q.latency <= latency);
+        if at_most > 0 && self.points[at_most - 1].failure_prob <= failure_prob {
+            return false;
+        }
         let candidate = ParetoPoint {
             latency,
             failure_prob,
-            payload,
+            payload: payload(),
         };
-        for existing in &self.points {
-            if existing.dominates(&candidate)
-                || (existing.latency == candidate.latency
-                    && existing.failure_prob == candidate.failure_prob)
-            {
-                return false;
-            }
-        }
         self.points
             .retain(|existing| !candidate.dominates(existing));
         let pos = self

@@ -126,6 +126,30 @@ fn scene_fully_het() -> impl Strategy<Value = (Pipeline, Platform, IntervalMappi
     })
 }
 
+/// The linear-scan `ParetoFront::insert` that the binary-search rejection
+/// replaced, kept as the reference on `(latency, fp, id)` triples.
+fn reference_insert(points: &mut Vec<(f64, f64, usize)>, l: f64, fp: f64, id: usize) -> bool {
+    let dominates =
+        |a: (f64, f64), b: (f64, f64)| a.0 <= b.0 && a.1 <= b.1 && (a.0 < b.0 || a.1 < b.1);
+    for &(pl, pfp, _) in points.iter() {
+        if dominates((pl, pfp), (l, fp)) || (pl == l && pfp == fp) {
+            return false;
+        }
+    }
+    points.retain(|&(pl, pfp, _)| !dominates((l, fp), (pl, pfp)));
+    let pos = points.partition_point(|q| q.0.total_cmp(&l).is_lt());
+    points.insert(pos, (l, fp, id));
+    true
+}
+
+/// A front's points as `(latency bits, fp bits, id)`, so ±0.0 differ.
+fn bits(front: &ParetoFront<usize>) -> Vec<(u64, u64, usize)> {
+    front
+        .iter()
+        .map(|p| (p.latency.to_bits(), p.failure_prob.to_bits(), p.payload))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -273,6 +297,39 @@ proptest! {
             .map(|q| q.failure_prob)
             .fold(None::<f64>, |acc, v| Some(acc.map_or(v, |a| a.min(v))));
         prop_assert_eq!(best, scan);
+    }
+
+    #[test]
+    fn fast_insert_matches_the_linear_reference(
+        offers in proptest::collection::vec((-3i32..5, 0u8..2, -2i32..4, 0u8..2), 0..80)
+    ) {
+        // A coarse grid makes equal latencies, equal FPs and exact
+        // duplicates common; a zero coordinate is drawn as -0.0 half the
+        // time.
+        let coord = |v: i32, neg_zero: u8| {
+            if v == 0 && neg_zero == 1 { -0.0 } else { f64::from(v) * 0.5 }
+        };
+        let mut reference = Vec::new();
+        let mut plain = ParetoFront::new();
+        let mut lazy = ParetoFront::new();
+        for (id, &(l, l_sign, fp, fp_sign)) in offers.iter().enumerate() {
+            let (l, fp) = (coord(l, l_sign), coord(fp, fp_sign));
+            let joined = reference_insert(&mut reference, l, fp, id);
+            prop_assert_eq!(plain.insert(l, fp, id), joined, "insert, offer {}", id);
+            let mut built = false;
+            let lazy_joined = lazy.insert_with(l, fp, || {
+                built = true;
+                id
+            });
+            prop_assert_eq!(lazy_joined, joined, "insert_with, offer {}", id);
+            prop_assert_eq!(built, joined, "payload built exactly on acceptance");
+            let expected: Vec<(u64, u64, usize)> = reference
+                .iter()
+                .map(|&(l, fp, id)| (f64::to_bits(l), f64::to_bits(fp), id))
+                .collect();
+            prop_assert_eq!(bits(&plain), expected.clone());
+            prop_assert_eq!(bits(&lazy), expected);
+        }
     }
 
     #[test]
