@@ -31,6 +31,11 @@ use rpwf_core::stage::Pipeline;
 /// Sanity cap: `2^m` state axis.
 const MAX_PROCS: usize = 20;
 
+/// Point transitions between two budget polls. One DP cell can extend
+/// each of its points along `n·2^m` submask transitions, so polling per
+/// cell could overshoot a deadline by a whole cell.
+const POLL_STRIDE: u64 = 1 << 14;
+
 /// Compact partial solution: per interval, `(end stage, replica mask)`.
 type PartialAlloc = Vec<(u8, u32)>;
 
@@ -48,10 +53,11 @@ pub fn pareto_front_comm_homog(
     Ok(pareto_front_comm_homog_with_budget(pipeline, platform, &Budget::unlimited())?.into_inner())
 }
 
-/// Budgeted variant of [`pareto_front_comm_homog`]. The budget is polled
-/// once per DP cell; on exhaustion the final states reached so far are
-/// collected, so a [`Budgeted::Cutoff`] front is a sound
-/// under-approximation (every point is a real, complete mapping).
+/// Budgeted variant of [`pareto_front_comm_homog`]. A limited budget is
+/// polled before the first transition and then at a fixed stride of
+/// point transitions (16,384); on exhaustion the final states
+/// reached so far are collected, so a [`Budgeted::Cutoff`] front is a
+/// sound under-approximation (every point is a real, complete mapping).
 ///
 /// # Errors
 /// [`CoreError::NotCommHomogeneous`] on heterogeneous links.
@@ -108,14 +114,11 @@ pub fn pareto_front_comm_homog_with_budget(
 
     let limited = budget.is_limited();
     let mut aborted = false;
-    let mut cells = 0u64;
+    // Point transitions made so far, and the count at which the next
+    // poll is due; counted only under a limited budget.
+    let (mut transitions, mut next_poll) = (0u64, 0u64);
     'dp: for i in 0..n {
         for mask in 0..(n_subsets as u32) {
-            cells += 1;
-            if limited && cells & 0x3F == 0 && budget.is_exhausted() {
-                aborted = true;
-                break 'dp;
-            }
             if states[idx(i, mask)].is_empty() {
                 continue;
             }
@@ -128,6 +131,16 @@ pub fn pareto_front_comm_homog_with_budget(
                 // Enumerate non-empty submasks of `free`.
                 let mut sub = free;
                 while sub != 0 {
+                    if limited {
+                        if transitions >= next_poll {
+                            if budget.is_exhausted() {
+                                aborted = true;
+                                break 'dp;
+                            }
+                            next_poll = transitions + POLL_STRIDE;
+                        }
+                        transitions += source.len() as u64;
+                    }
                     let k = sub.count_ones() as f64;
                     let lat_step = k * input / b + work / min_speed[sub as usize];
                     let fp_step = fp_cost[sub as usize];
@@ -312,6 +325,29 @@ mod tests {
             assert_approx_eq!(re.latency, pt.latency);
             assert_approx_eq!(re.failure_prob, pt.failure_prob);
         }
+    }
+
+    #[test]
+    fn a_budget_cancelled_before_the_call_stops_before_any_transition() {
+        // CH n = 40, m = 12: the first cell alone holds 40 · 4095 submask
+        // transitions.
+        let inst = rpwf_gen::make_instance(
+            rpwf_core::platform::PlatformClass::CommHomogeneous,
+            rpwf_core::platform::FailureClass::Heterogeneous,
+            40,
+            12,
+            5,
+        );
+        let (budget, cancel) = Budget::unlimited().cancellable();
+        cancel.cancel();
+        let outcome =
+            pareto_front_comm_homog_with_budget(&inst.pipeline, &inst.platform, &budget).unwrap();
+        assert!(!outcome.is_complete());
+        assert!(
+            outcome.inner().is_empty(),
+            "{} points",
+            outcome.inner().len()
+        );
     }
 
     #[test]

@@ -194,63 +194,137 @@ impl MoveStream {
     }
 }
 
+/// Boundary shifts at boundary `j` (right, then left).
+fn shifts_at(de: &DeltaEval, j: usize) -> usize {
+    if j + 1 < de.n_intervals() {
+        usize::from(de.interval(j + 1).len() >= 2) + usize::from(de.interval(j).len() >= 2)
+    } else {
+        0
+    }
+}
+
+/// Replicas of interval `j` that may leave it (it keeps at least one).
+fn movable_at(de: &DeltaEval, j: usize) -> usize {
+    match de.alloc(j).len() {
+        k if k >= 2 => k,
+        _ => 0,
+    }
+}
+
+/// Splits of interval `j` (≥ 2 stages and ≥ 2 replicas).
+fn splits_at(de: &DeltaEval, j: usize) -> usize {
+    if movable_at(de, j) > 0 {
+        de.interval(j).len() - 1
+    } else {
+        0
+    }
+}
+
+/// Moves [`MoveStream`] yields in each of its seven phases (shift, merge,
+/// split, grow, shrink, swap, migrate), in O(p) arithmetic.
+fn phase_counts(de: &DeltaEval) -> [usize; 7] {
+    let p = de.n_intervals();
+    let nf = de.free().len();
+    let mut counts = [0, p.saturating_sub(1), 0, p * nf, 0, 0, 0];
+    for j in 0..p {
+        counts[0] += shifts_at(de, j);
+        counts[2] += splits_at(de, j);
+        counts[4] += movable_at(de, j);
+        counts[5] += de.alloc(j).len() * nf;
+    }
+    counts[6] = counts[4] * (p - 1);
+    counts
+}
+
+/// Of `p` consecutive blocks, block `j` holding `size(j)` moves: the
+/// block holding move `rest`, and the offset into it.
+fn locate(p: usize, mut rest: usize, size: impl Fn(usize) -> usize) -> (usize, usize) {
+    for j in 0..p {
+        let block = size(j);
+        if rest < block {
+            return (j, rest);
+        }
+        rest -= block;
+    }
+    unreachable!("the counts cover the index")
+}
+
 /// Number of moves [`MoveStream`] will yield from this state — equals
 /// `neighbors(&de.mapping(), m).len()`, in O(p) arithmetic.
 #[must_use]
 pub fn move_count(de: &DeltaEval) -> usize {
-    let p = de.n_intervals();
-    let nf = de.free().len();
-    let mut count = 0usize;
-    // Shifts.
-    for j in 0..p.saturating_sub(1) {
-        count += usize::from(de.interval(j + 1).len() >= 2);
-        count += usize::from(de.interval(j).len() >= 2);
-    }
-    // Merges.
-    count += p.saturating_sub(1);
-    let mut replicas = 0usize;
-    let mut movable = 0usize; // replicas in intervals with k ≥ 2
-    for j in 0..p {
-        let k = de.alloc(j).len();
-        replicas += k;
-        if k >= 2 {
-            movable += k;
-            // Splits.
-            if de.interval(j).len() >= 2 {
-                count += de.interval(j).len() - 1;
-            }
-        }
-    }
-    // Grow + shrink + swap + migrate.
-    count += p * nf;
-    count += movable;
-    count += replicas * nf;
-    count += movable * (p - 1);
-    count
+    phase_counts(de).iter().sum()
 }
 
-/// The `idx`-th move of the stream (`idx < move_count`).
+/// The `idx`-th move of the stream (`idx < move_count`), in O(p): the
+/// per-phase counts give the phase, the same per-interval counts the
+/// move within it.
 ///
 /// # Panics
 /// When `idx` is out of range.
 #[must_use]
 pub fn nth_move(de: &DeltaEval, idx: usize) -> Move {
-    let mut stream = MoveStream::new();
-    let mut seen = 0usize;
-    while let Some(mv) = stream.next(de) {
-        if seen == idx {
-            return mv;
+    let counts = phase_counts(de);
+    let total: usize = counts.iter().sum();
+    assert!(
+        idx < total,
+        "nth_move: index {idx} out of range ({total} moves)"
+    );
+    let (phase, rest) = locate(counts.len(), idx, |phase| counts[phase]);
+    let p = de.n_intervals();
+    let free = de.free();
+    let nf = free.len();
+    match phase {
+        0 => {
+            let (j, at) = locate(p, rest, |j| shifts_at(de, j));
+            if at == 0 && de.interval(j + 1).len() >= 2 {
+                Move::ShiftRight { j }
+            } else {
+                Move::ShiftLeft { j }
+            }
         }
-        seen += 1;
+        1 => Move::Merge { j: rest },
+        2 => {
+            let (j, at) = locate(p, rest, |j| splits_at(de, j));
+            Move::Split {
+                j,
+                cut: de.interval(j).start() + at,
+            }
+        }
+        3 => Move::Grow {
+            j: rest / nf,
+            proc: free[rest % nf],
+        },
+        4 => {
+            let (j, r) = locate(p, rest, |j| movable_at(de, j));
+            Move::Shrink { j, r }
+        }
+        5 => {
+            let (j, at) = locate(p, rest, |j| de.alloc(j).len() * nf);
+            Move::Swap {
+                j,
+                r: at / nf,
+                proc: free[at % nf],
+            }
+        }
+        _ => {
+            let (j, at) = locate(p, rest, |j| movable_at(de, j) * (p - 1));
+            let (r, to) = (at / (p - 1), at % (p - 1));
+            Move::Migrate {
+                j,
+                r,
+                // Every interval but `j` itself, in order.
+                to: if to < j { to } else { to + 1 },
+            }
+        }
     }
-    panic!("nth_move: index {idx} out of range ({seen} moves)");
 }
 
 /// One uniformly chosen move (the streaming equivalent of
-/// [`random_neighbor`]); `None` when the state has no neighbor. Consumes
-/// the same RNG draws as `random_neighbor` — one `gen_range` when moves
-/// exist, nothing otherwise — so seeded solvers keep their trajectories
-/// when ported between the two forms.
+/// [`random_neighbor`]) in O(p); `None` when the state has no neighbor.
+/// Consumes the same RNG draws as `random_neighbor` — one `gen_range`
+/// when moves exist, nothing otherwise — so seeded solvers keep their
+/// trajectories when ported between the two forms.
 #[must_use]
 pub fn random_move<R: Rng + ?Sized>(de: &DeltaEval, rng: &mut R) -> Option<Move> {
     let count = move_count(de);
@@ -546,10 +620,49 @@ mod tests {
                 "move {i} ({mv:?}) must produce neighbors()[{i}]"
             );
             de.revert();
-            assert_eq!(nth_move(&de, i), mv);
             i += 1;
         }
         assert_eq!(i, materialized.len());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// `nth_move` indexes the stream directly: over random mappings
+        /// on FH, CH and het platforms, its `i`-th move is the stream
+        /// walk's, for every `i`.
+        #[test]
+        fn nth_move_is_the_stream_walks_move(
+            seed in 0u64..u64::MAX,
+            class in 0usize..3,
+            n in 1usize..9,
+            m in 1usize..8,
+        ) {
+            use rpwf_core::platform::{FailureClass, PlatformClass};
+            // One processor is homogeneous whatever the class.
+            let (class, failure) = if m == 1 {
+                (PlatformClass::FullyHomogeneous, FailureClass::Homogeneous)
+            } else {
+                let classes = [
+                    PlatformClass::FullyHomogeneous,
+                    PlatformClass::CommHomogeneous,
+                    PlatformClass::FullyHeterogeneous,
+                ];
+                (classes[class], FailureClass::Heterogeneous)
+            };
+            let inst = rpwf_gen::make_instance(class, failure, n, m, seed);
+            let ctx = rpwf_core::eval::EvalContext::new(&inst.pipeline, &inst.platform);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mapping = random_mapping(n, m, &mut rng);
+            let de = rpwf_core::eval::DeltaEval::new(&ctx, &mapping);
+            let mut stream = MoveStream::new();
+            let mut i = 0usize;
+            while let Some(mv) = stream.next(&de) {
+                proptest::prop_assert_eq!(nth_move(&de, i), mv, "move {}", i);
+                i += 1;
+            }
+            proptest::prop_assert_eq!(move_count(&de), i);
+        }
     }
 
     #[test]

@@ -20,6 +20,8 @@
 //!   bit-exact agreement to the full formulas,
 //! * [`throughput`] — steady-state period (extension, paper §5),
 //! * [`intervals`] — enumeration of interval partitions,
+//! * [`memo`] — per-thread reuse of decoded pipelines and platforms by
+//!   their exact input bytes,
 //! * [`pareto`] — bi-objective Pareto fronts,
 //! * [`ring`] — the consistent-hash ring fleets use to partition the
 //!   instance keyspace, with replicated (successor-list) ownership,
@@ -67,6 +69,7 @@ pub mod eval;
 pub mod hash;
 pub mod intervals;
 pub mod mapping;
+pub mod memo;
 pub mod metrics;
 pub mod num;
 pub mod pareto;

@@ -134,39 +134,44 @@ impl<'de> Deserialize<'de> for Platform {
         Platform::new(speeds, failure_probs, bandwidths).map_err(invalid_platform)
     }
 
+    /// Through this thread's decode memo ([`crate::memo`]).
     fn from_json(reader: &mut Reader<'_>) -> std::result::Result<Self, serde::Error> {
-        let (mut speeds, mut failure_probs, mut bandwidths) = (None, None, None);
-        reader.begin_object()?;
-        while let Some(key) = reader.next_key()? {
-            match &*key {
-                "speeds" if speeds.is_none() => speeds = Some(Vec::from_json(reader)?),
-                "failure_probs" if failure_probs.is_none() => {
-                    failure_probs = Some(Vec::from_json(reader)?);
-                }
-                "bandwidths" if bandwidths.is_none() => {
-                    let mut matrix = Vec::new();
-                    reader.begin_array()?;
-                    while reader.next_element()? {
-                        matrix.push(if reader.null()? {
-                            f64::INFINITY
-                        } else {
-                            reader.f64()?
-                        });
-                    }
-                    bandwidths = Some(matrix);
-                }
-                _ => reader.skip()?,
-            }
-        }
-        let (Some(speeds), Some(failure_probs), Some(bandwidths)) =
-            (speeds, failure_probs, bandwidths)
-        else {
-            return Err(serde::Error::msg(
-                "platform needs `speeds`, `failure_probs` and `bandwidths`",
-            ));
-        };
-        Platform::new(speeds, failure_probs, bandwidths).map_err(invalid_platform)
+        crate::memo::decode(reader, decode_platform)
     }
+}
+
+/// The full streaming decode of a platform object.
+fn decode_platform(reader: &mut Reader<'_>) -> std::result::Result<Platform, serde::Error> {
+    let (mut speeds, mut failure_probs, mut bandwidths) = (None, None, None);
+    reader.begin_object()?;
+    while let Some(key) = reader.next_key()? {
+        match &*key {
+            "speeds" if speeds.is_none() => speeds = Some(Vec::from_json(reader)?),
+            "failure_probs" if failure_probs.is_none() => {
+                failure_probs = Some(Vec::from_json(reader)?);
+            }
+            "bandwidths" if bandwidths.is_none() => {
+                let mut matrix = Vec::new();
+                reader.begin_array()?;
+                while reader.next_element()? {
+                    matrix.push(if reader.null()? {
+                        f64::INFINITY
+                    } else {
+                        reader.f64()?
+                    });
+                }
+                bandwidths = Some(matrix);
+            }
+            _ => reader.skip()?,
+        }
+    }
+    let (Some(speeds), Some(failure_probs), Some(bandwidths)) = (speeds, failure_probs, bandwidths)
+    else {
+        return Err(serde::Error::msg(
+            "platform needs `speeds`, `failure_probs` and `bandwidths`",
+        ));
+    };
+    Platform::new(speeds, failure_probs, bandwidths).map_err(invalid_platform)
 }
 
 fn invalid_platform(e: CoreError) -> serde::Error {

@@ -61,21 +61,27 @@ impl<'de> Deserialize<'de> for Pipeline {
         Pipeline::new(works, deltas).map_err(invalid_pipeline)
     }
 
+    /// Through this thread's decode memo ([`crate::memo`]).
     fn from_json(reader: &mut Reader<'_>) -> std::result::Result<Self, serde::Error> {
-        let (mut deltas, mut works) = (None, None);
-        reader.begin_object()?;
-        while let Some(key) = reader.next_key()? {
-            match &*key {
-                "deltas" if deltas.is_none() => deltas = Some(Vec::from_json(reader)?),
-                "works" if works.is_none() => works = Some(Vec::from_json(reader)?),
-                _ => reader.skip()?,
-            }
-        }
-        let (Some(deltas), Some(works)) = (deltas, works) else {
-            return Err(serde::Error::msg("pipeline needs `deltas` and `works`"));
-        };
-        Pipeline::new(works, deltas).map_err(invalid_pipeline)
+        crate::memo::decode(reader, decode_pipeline)
     }
+}
+
+/// The full streaming decode of a pipeline object.
+fn decode_pipeline(reader: &mut Reader<'_>) -> std::result::Result<Pipeline, serde::Error> {
+    let (mut deltas, mut works) = (None, None);
+    reader.begin_object()?;
+    while let Some(key) = reader.next_key()? {
+        match &*key {
+            "deltas" if deltas.is_none() => deltas = Some(Vec::from_json(reader)?),
+            "works" if works.is_none() => works = Some(Vec::from_json(reader)?),
+            _ => reader.skip()?,
+        }
+    }
+    let (Some(deltas), Some(works)) = (deltas, works) else {
+        return Err(serde::Error::msg("pipeline needs `deltas` and `works`"));
+    };
+    Pipeline::new(works, deltas).map_err(invalid_pipeline)
 }
 
 fn invalid_pipeline(e: CoreError) -> serde::Error {

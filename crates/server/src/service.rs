@@ -1155,6 +1155,27 @@ impl SolverService {
         )
         .expect("write");
         writeln!(out, "rpwf_trace_slowlog_entries {}", self.trace_log.len()).expect("write");
+        let memo = rpwf_core::memo::counts();
+        for (name, value, help) in [
+            (
+                "rpwf_decode_memo_hits_total",
+                memo.hits,
+                "reused a decoded value whose exact bytes this thread decoded before",
+            ),
+            (
+                "rpwf_decode_memo_misses_total",
+                memo.misses,
+                "ran the full decoder",
+            ),
+        ] {
+            writeln!(
+                out,
+                "# HELP {name} Pipeline and platform decodes that {help}; \
+                 process-wide, so nodes sharing a process share it.\n\
+                 # TYPE {name} counter\n{name} {value}"
+            )
+            .expect("write");
+        }
         // Per-shard counters expose hot-shard skew the aggregate hides.
         for (i, shard) in self.cache.shard_stats().iter().enumerate() {
             writeln!(
@@ -2135,7 +2156,24 @@ mod tests {
         let mut req = solve_request(1, 22.0);
         req.trace = Some(true);
         let _ = svc.handle(req, Instant::now());
+        // The same line twice on this thread: a memo miss, then a hit.
+        let line = serde_json::to_string(&solve_request(4, 23.0)).expect("serializes");
+        let _ = svc.handle_line(&line, Instant::now());
+        let _ = svc.handle_line(&line, Instant::now());
         let dump = svc.render_metrics();
+        for name in [
+            "rpwf_decode_memo_hits_total",
+            "rpwf_decode_memo_misses_total",
+        ] {
+            assert!(dump.contains(&format!("# HELP {name} ")), "{dump}");
+            assert!(dump.contains(&format!("# TYPE {name} counter")), "{dump}");
+            let value: u64 = dump
+                .lines()
+                .find_map(|l| l.strip_prefix(&format!("{name} ")))
+                .and_then(|v| v.parse().ok())
+                .unwrap_or_else(|| panic!("{name} has a value: {dump}"));
+            assert!(value >= 2, "{name} counts both instance halves: {dump}");
+        }
         assert!(dump.contains("rpwf_cache_hit_ratio "), "{dump}");
         assert!(dump.contains("rpwf_uptime_seconds "), "{dump}");
         assert!(dump.contains("rpwf_build_info{version="), "{dump}");

@@ -4,7 +4,12 @@
 //! * **differential** — over generated `Request` and `Response` lines and
 //!   byte-level mutations and truncations of them, `serde_json::from_str`
 //!   (the streaming `from_json`) and `value_from_str` + `from_value` agree
-//!   on Ok/Err and, when both decode, on the decoded value;
+//!   on Ok/Err and, when both decode, on the decoded value — on a first
+//!   decode and on a repeat that the decode memo answers;
+//! * **decode memo** — only exact bytes hit: trailing garbage after a
+//!   memoized platform fails as on a cold thread, any other byte
+//!   (a number, whitespace, key order) misses, and an invalid instance is
+//!   rejected every time;
 //! * **robustness** — arbitrary bytes through `handle_line` never panic
 //!   and always produce exactly one well-formed response line;
 //! * **regressions** — absurd nesting is an `invalid` error rather than a
@@ -16,7 +21,8 @@ use proptest::test_runner::TestRng;
 use rpwf_algo::{Objective, Provenance};
 use rpwf_core::mapping::IntervalMapping;
 use rpwf_core::pareto::ParetoFront;
-use rpwf_core::platform::{FailureClass, PlatformClass, ProcId};
+use rpwf_core::platform::{FailureClass, Platform, PlatformClass, ProcId};
+use rpwf_core::stage::Pipeline;
 use rpwf_server::protocol::{Meta, TraceContext, WireError};
 use rpwf_server::{Command, Request, Response, ServiceConfig, SolverService};
 use serde::{Deserialize, Value};
@@ -425,7 +431,10 @@ fn mutate(rng: &mut TestRng, line: &str) -> String {
     String::from_utf8_lossy(&bytes).into_owned()
 }
 
-/// `from_str` and `value_from_str` + `from_value` agree on `line`.
+/// `from_str` and `value_from_str` + `from_value` agree on `line`, and a
+/// repeat `from_str` (which the decode memo answers for every pipeline
+/// and platform the first one stored) gives exactly the first result,
+/// errors and their byte offsets included.
 fn assert_agree<T: for<'de> Deserialize<'de> + std::fmt::Debug>(line: &str) {
     let typed = serde_json::from_str::<T>(line);
     let reference = serde_json::value_from_str(line)
@@ -435,6 +444,12 @@ fn assert_agree<T: for<'de> Deserialize<'de> + std::fmt::Debug>(line: &str) {
         (Err(_), Err(_)) => {}
         _ => panic!("decoders disagree on {line:?}: one pass {typed:?}, reference {reference:?}"),
     }
+    let repeat = serde_json::from_str::<T>(line);
+    assert_eq!(
+        format!("{typed:?}"),
+        format!("{repeat:?}"),
+        "a repeat decode of {line:?}"
+    );
 }
 
 proptest! {
@@ -688,4 +703,151 @@ fn non_finite_numbers_decode_to_infinity_and_validation_rejects_them() {
     let a: Request = serde_json::from_str(&with_null).expect("decodes");
     let b: Request = serde_json::from_str(&with_inf).expect("decodes");
     assert_eq!(a.cmd.front_key(), b.cmd.front_key());
+}
+
+/// The instance of [`solve_line_with`] and the wire text of its platform.
+fn instance_texts() -> (Pipeline, Platform, String) {
+    let inst = rpwf_gen::make_instance(
+        PlatformClass::FullyHeterogeneous,
+        FailureClass::Heterogeneous,
+        3,
+        2,
+        5,
+    );
+    let text = serde_json::to_string(&inst.platform).expect("serializes");
+    (inst.pipeline, inst.platform, text)
+}
+
+/// `line` decoded on a new thread, whose decode memo is empty.
+fn cold_decode<T>(line: &str) -> serde_json::Result<T>
+where
+    T: for<'de> Deserialize<'de> + Send + 'static,
+{
+    let line = line.to_owned();
+    std::thread::spawn(move || serde_json::from_str::<T>(&line))
+        .join()
+        .expect("decode thread")
+}
+
+#[test]
+fn trailing_garbage_after_a_memoized_platform_fails_like_a_cold_decode() {
+    let (_, platform, text) = instance_texts();
+    let line = solve_line_with(|_| {});
+    let at = line
+        .find(&text)
+        .expect("the platform's text is in the line")
+        + text.len();
+    let mut broken_line = line.clone();
+    broken_line.insert(at, 'x');
+    let broken_platform = format!("{text}x");
+    let cold_line = cold_decode::<Request>(&broken_line).unwrap_err();
+    let cold_platform = cold_decode::<Platform>(&broken_platform).unwrap_err();
+    assert!(
+        cold_line.to_string().ends_with(&format!("at byte {at}")),
+        "{cold_line}"
+    );
+    assert!(
+        cold_platform
+            .to_string()
+            .ends_with(&format!("at byte {}", text.len())),
+        "{cold_platform}"
+    );
+
+    // Memoize the platform at both depths, then hit it.
+    assert_eq!(serde_json::from_str::<Platform>(&text), Ok(platform));
+    assert!(serde_json::from_str::<Request>(&line).is_ok());
+    let before = rpwf_core::memo::counts().hits;
+    assert_eq!(
+        serde_json::from_str::<Request>(&broken_line).unwrap_err(),
+        cold_line
+    );
+    assert_eq!(
+        serde_json::from_str::<Platform>(&broken_platform).unwrap_err(),
+        cold_platform
+    );
+    assert!(rpwf_core::memo::counts().hits >= before + 3);
+}
+
+#[test]
+fn a_platform_differing_only_in_its_last_number_decodes_its_own_value() {
+    let (_, platform, text) = instance_texts();
+    assert_eq!(
+        serde_json::from_str::<Platform>(&text),
+        Ok(platform.clone())
+    );
+    // The last digit of the last number, changed: same length, so only
+    // a full comparison tells the two apart.
+    let at = text.rfind(|c: char| c.is_ascii_digit()).expect("a number");
+    let digit = if &text[at..=at] == "1" { "2" } else { "1" };
+    let edited = format!("{}{digit}{}", &text[..at], &text[at + 1..]);
+    assert_eq!(edited.len(), text.len());
+    let reference = Platform::from_value(&serde_json::value_from_str(&edited).expect("parses"))
+        .expect("still valid");
+    let misses = rpwf_core::memo::counts().misses;
+    let decoded: Platform = serde_json::from_str(&edited).expect("decodes");
+    assert!(rpwf_core::memo::counts().misses > misses);
+    assert_eq!(decoded, reference);
+    assert_ne!(decoded, platform);
+}
+
+#[test]
+fn other_whitespace_or_key_order_misses_and_decodes_the_same_value() {
+    let (pipeline, platform, text) = instance_texts();
+    let pipeline_text = serde_json::to_string(&pipeline).expect("serializes");
+    assert_eq!(
+        serde_json::from_str::<Platform>(&text),
+        Ok(platform.clone())
+    );
+    assert_eq!(
+        serde_json::from_str::<Pipeline>(&pipeline_text),
+        Ok(pipeline.clone())
+    );
+    let reordered = |value: Value| {
+        let Value::Map(mut entries) = value else {
+            panic!("an object")
+        };
+        entries.reverse();
+        serde_json::to_string(&Value::Map(entries)).expect("serializes")
+    };
+    let platforms = [
+        serde_json::to_string_pretty(&platform).expect("serializes"),
+        text.replacen(',', ", ", 1),
+        reordered(serde::Serialize::to_value(&platform)),
+    ];
+    for variant in &platforms {
+        assert_ne!(*variant, text);
+        let misses = rpwf_core::memo::counts().misses;
+        assert_eq!(
+            serde_json::from_str::<Platform>(variant),
+            Ok(platform.clone())
+        );
+        assert!(rpwf_core::memo::counts().misses > misses, "{variant}");
+    }
+    let pipelines = [
+        serde_json::to_string_pretty(&pipeline).expect("serializes"),
+        reordered(serde::Serialize::to_value(&pipeline)),
+    ];
+    for variant in &pipelines {
+        assert_ne!(*variant, pipeline_text);
+        assert_eq!(
+            serde_json::from_str::<Pipeline>(variant),
+            Ok(pipeline.clone())
+        );
+    }
+}
+
+#[test]
+fn an_invalid_instance_is_rejected_on_every_decode() {
+    let svc = service();
+    let line = solve_line_with(|p| {
+        set(p, "speeds", Value::Seq(vec![Value::Int(-1), Value::Int(1)]));
+    });
+    let first = serde_json::from_str::<Request>(&line).unwrap_err();
+    assert!(first.to_string().contains("speed"), "{first}");
+    for _ in 0..3 {
+        let misses = rpwf_core::memo::counts().misses;
+        assert_eq!(serde_json::from_str::<Request>(&line).unwrap_err(), first);
+        assert!(rpwf_core::memo::counts().misses > misses);
+        assert_eq!(error_of(&svc, &line).kind, "invalid");
+    }
 }
